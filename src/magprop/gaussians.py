@@ -212,41 +212,10 @@ def tt_nexp_product(K, L, f: GridFunction) -> TTValue:
 
     With L = 0 this is the normalized exponential (determinant divided out).
     The determinant comes from the dense spectrum of (Id+K)^-1 L, which has
-    the same nonzero spectrum as L(Id+K)^-1.
+    the same nonzero spectrum as L(Id+K)^-1. This is the no-pin case of the
+    pinned engine :func:`tt_pinned_gauss`, and evaluates through it.
     """
-    grid, d = f.grid, f.d
-    kapp = _application(K, grid, d)
-    lapp = _application(L, grid, d)
-    dim = d * grid.n
-    ident = np.eye(dim)
-    ik = ident if kapp is None else ident + kapp
-
-    note = "per-eigenvalue principal square roots, tracked from K=0"
-    if lapp is None:
-        det = 1.0 + 0j
-        pref = 1.0 + 0j
-    else:
-        try:
-            core = np.linalg.solve(ik, lapp)
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError("Id+K is singular at this grid") from exc
-        mu = np.linalg.eigvals(core)
-        factors = 1.0 + mu
-        if np.abs(factors).min() <= _DET_VANISH_TOL:
-            raise CausticError("vanishing determinant det(Id+L(Id+K)^-1)")
-        det = complex(np.prod(factors))
-        pref = np.exp(_half_log_product(factors))
-
-    nmat = ik if lapp is None else ik + lapp
-    try:
-        x = np.linalg.solve(nmat, f.flat())
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError("Id+K+L is singular at this grid") from exc
-    resid = np.abs(nmat @ x - f.flat()).max()
-    if resid > 1e-8 * (1.0 + np.abs(f.flat()).max()):
-        raise SingularOperatorError("Id+K+L is numerically singular at this grid")
-    val = complex(pref * np.exp(-0.5 * _pair_flat(grid, f.flat(), x)))
-    return TTValue(val, det_NK=det, branch_note=note)
+    return tt_pinned_gauss(PinnedGaussSpec(K=K, L=L), f)
 
 
 def tt_linear_shift(base: Callable, g: GridFunction, c: complex, f: GridFunction) -> complex:
@@ -340,6 +309,9 @@ def tt_pinned_gauss(spec: PinnedGaussSpec, f: GridFunction) -> TTValue:
         sol = np.linalg.solve(nmat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError("Id+K+L is singular at this grid") from exc
+    resid = np.abs(nmat @ sol - rhs).max(axis=0)
+    if np.any(resid > 1e-8 * (1.0 + np.abs(rhs).max(axis=0))):
+        raise SingularOperatorError("Id+K+L is numerically singular at this grid")
     xF = sol[:, 0]
     gauss = np.exp(-0.5 * _pair_flat(grid, F.flat(), xF))
 
@@ -355,6 +327,9 @@ def tt_pinned_gauss(spec: PinnedGaussSpec, f: GridFunction) -> TTValue:
     m = 0.5 * (m + m.T)
 
     scale = max(1.0, float(np.abs(m).max()))
+    # Off-diagonal round-off (equal pins give [[ia, ie], [ie, ia]] with
+    # e ~ 1e-17 a) can keep LAPACK's eigensolver from converging.
+    m[~np.eye(J, dtype=bool) & (np.abs(m) < _M_EIG_TOL * scale)] = 0.0
     re_eigs = np.linalg.eigvalsh(m.real)
     if re_eigs.min() < -_M_EIG_TOL * scale:
         raise DegeneratePinningError(

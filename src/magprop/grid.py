@@ -312,29 +312,19 @@ class BlockOperator:
         """Block-wise product self @ other (application composition)."""
         if self.grid != other.grid:
             raise ValidationError("operator grids differ")
+        n = self.grid.n
         out: dict = {}
         for (i, m), left in self.blocks.items():
             for j in range(4):
                 right = other.blocks.get((m, j))
                 if right is None:
                     continue
-                if np.isscalar(left) and np.isscalar(right):
+                if np.isscalar(left) or np.isscalar(right):
                     term = left * right
-                elif np.isscalar(left):
-                    term = left * right
-                elif np.isscalar(right):
-                    term = right * left
                 else:
                     term = left @ right
                 prev = out.get((i, j))
-                if prev is None:
-                    out[(i, j)] = term
-                elif np.isscalar(prev) and np.isscalar(term):
-                    out[(i, j)] = prev + term
-                else:
-                    base = prev if not np.isscalar(prev) else prev * np.eye(self.grid.n)
-                    add = term if not np.isscalar(term) else term * np.eye(self.grid.n)
-                    out[(i, j)] = base + add
+                out[(i, j)] = term if prev is None else _block_sum(prev, term, n)
         return BlockOperator(self.grid, out, meta=dict(self.meta))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
@@ -343,17 +333,19 @@ class BlockOperator:
         out = dict(self.blocks)
         n = self.grid.n
         for key, blk in other.blocks.items():
-            if key not in out:
-                out[key] = blk
-            else:
-                prev = out[key]
-                if np.isscalar(prev) and np.isscalar(blk):
-                    out[key] = prev + blk
-                else:
-                    base = prev if not np.isscalar(prev) else prev * np.eye(n)
-                    add = blk if not np.isscalar(blk) else blk * np.eye(n)
-                    out[key] = base + add
+            out[key] = blk if key not in out else _block_sum(out[key], blk, n)
         return BlockOperator(self.grid, out, meta={**other.meta, **self.meta})
+
+
+def _block_sum(a, b, n: int):
+    """Sum of two blocks; a scalar block stands for that multiple of the identity."""
+    if np.isscalar(a) and np.isscalar(b):
+        return a + b
+    if np.isscalar(a):
+        a = a * np.eye(n)
+    if np.isscalar(b):
+        b = b * np.eye(n)
+    return a + b
 
 
 def block_identity(grid: GridSpec) -> BlockOperator:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 from scipy.special import polygamma
 
 from .errors import CausticError, NumericalError, ValidationError
@@ -219,6 +218,14 @@ def build_cp_operators(grid: GridSpec, k: float) -> CPOperators:
     return CPOperators(grid, kmat, lmat, nmat)
 
 
+def _id_plus_k_inverse(grid: GridSpec) -> BlockOperator:
+    """(Id + K)^-1 on [0, t): a constant block matrix, from direct 2x2
+    inversion of each diagonal pair of Id + K."""
+    return BlockOperator(
+        grid, {(0, 0): 1j, (0, 1): 1j, (1, 0): 1j, (2, 2): 1j, (2, 3): 1j, (3, 2): 1j}
+    )
+
+
 def _resolvent_g(grid: GridSpec, k: float) -> np.ndarray:
     """Application matrix of (k^2 A - 1)^-1 from its analytic kernel.
 
@@ -322,8 +329,8 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     stencils are second-order central; the first-derivative equation is
     enforced on cell faces (midpoint averages), which suppresses the
     odd-even null mode; boundary rows use 4-point one-sided stencils so the
-    boundary error does not dominate the pairing integrals. The sparse
-    banded system is solved directly.
+    boundary error does not dominate the pairing integrals. Ordered node by
+    node, the system is banded and is solved directly in O(n).
     """
     key = _PIN_ALIASES.get(which)
     if key is None:
@@ -336,71 +343,62 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     if n < 8:
         raise ValidationError("preimage BVP needs n >= 8")
 
-    i1, i2, i3 = 0, n, 2 * n
-    rows, cols, vals = [], [], []
+    # Unknown 3j + c is f_{c+1} at node j. Rows 3m..3m+2 hold the equations
+    # centred on node m: the three conditions at s = 0 for m = 0; the face
+    # equation between nodes m-1 and m, then the f1 and f3 stencils, for
+    # interior m; the last face equation and the two end values for m = n-1.
+    # The 4-point boundary rows set the band, (lower, upper) = (9, 10).
+    lower, upper = 9, 10
+    band = np.zeros((lower + upper + 1, 3 * n), dtype=complex)
     rhs = np.zeros(3 * n, dtype=complex)
-    eq = 0
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    def put(rows, comp, nodes, value):
+        # rows and cols advance together along a stencil term, so one call
+        # fills (a stretch of) one band diagonal
+        cols = 3 * nodes + comp
+        band[upper + rows - cols, cols] = value
 
+    m = np.arange(1, n)
+    face = 3 * m
+    put(face, 1, m, 1.0)
+    put(face, 1, m - 1, -1.0)
+    put(face, 0, m, -1.0)
+    put(face, 0, m - 1, 1.0)
+    put(face, 2, m, k * h)
+    put(face, 2, m - 1, k * h)
+
+    m = np.arange(1, n - 1)
     kh2 = k * k * h * h
-    for j in range(1, n - 1):
-        add(eq, i1 + j - 1, 1.0)
-        add(eq, i1 + j, kh2 - 2.0)
-        add(eq, i1 + j + 1, 1.0)
-        add(eq, i3 + j + 1, -2.0 * k * h)
-        add(eq, i3 + j - 1, 2.0 * k * h)
-        eq += 1
-    for j in range(n - 1):
-        add(eq, i2 + j + 1, 1.0)
-        add(eq, i2 + j, -1.0)
-        add(eq, i1 + j + 1, -1.0)
-        add(eq, i1 + j, 1.0)
-        add(eq, i3 + j + 1, k * h)
-        add(eq, i3 + j, k * h)
-        eq += 1
-    for j in range(1, n - 1):
-        add(eq, i3 + j - 1, 1.0)
-        add(eq, i3 + j, kh2 - 2.0)
-        add(eq, i3 + j + 1, 1.0)
-        eq += 1
+    for row, comp in ((3 * m + 1, 0), (3 * m + 2, 2)):
+        put(row, comp, m - 1, 1.0)
+        put(row, comp, m, kh2 - 2.0)
+        put(row, comp, m + 1, 1.0)
+    put(3 * m + 1, 2, m + 1, -2.0 * k * h)
+    put(3 * m + 1, 2, m - 1, 2.0 * k * h)
 
     w0 = _fd_weights(s[:4], 0.0, 0)
     d0 = _fd_weights(s[:4], 0.0, 1)
     wt = _fd_weights(s[-4:], t, 0)
+    p = np.arange(4)
+    put(0, 0, p, w0)
+    put(0, 1, p, -w0)
+    put(1, 1, p, d0)
+    put(1, 2, p, -2.0 * k * w0)
+    put(2, 2, p, d0)
+    end = 3 * (n - 1)
+    put(end + 1, 1, n - 4 + p, wt)
+    rhs[end + 1] = 1j if key == "eta1" else 0.0
+    put(end + 2, 2, n - 4 + p, wt)
+    rhs[end + 2] = 1j if key == "eta3" else 0.0
 
-    for p in range(4):
-        add(eq, i1 + p, w0[p])
-        add(eq, i2 + p, -w0[p])
-    eq += 1
-    for p in range(4):
-        add(eq, i2 + p, d0[p])
-        add(eq, i3 + p, -2.0 * k * w0[p])
-    eq += 1
-    for p in range(4):
-        add(eq, i3 + p, d0[p])
-    eq += 1
-    for p in range(4):
-        add(eq, i2 + n - 4 + p, wt[p])
-    rhs[eq] = 1j if key == "eta1" else 0.0
-    eq += 1
-    for p in range(4):
-        add(eq, i3 + n - 4 + p, wt[p])
-    rhs[eq] = 1j if key == "eta3" else 0.0
-    eq += 1
-    assert eq == 3 * n
-
-    mat = sp.csc_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(3 * n, 3 * n)
-    )
-    sol = spsolve(mat, rhs)
+    try:
+        sol = solve_banded((lower, upper), band, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"preimage system is singular (t={t}, k={k})") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError(f"preimage solve produced non-finite values (t={t}, k={k})")
-    f1, f2, f3 = sol[i1:i2], sol[i2:i3], sol[i3:]
-    return GridFunction(grid, np.stack([f1, f2, f3, f3.copy()]))
+    f1, f2, f3 = sol[0::3], sol[1::3], sol[2::3]
+    return GridFunction(grid, np.stack([f1, f2, f3, f3]))
 
 
 def _closed_preimage(grid: GridSpec, k: float, which) -> GridFunction:
@@ -536,21 +534,20 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     if method == "dense":
         grid = GridSpec(t, order)
         ops = build_cp_operators(grid, k)
-        # (Id + K)^-1 restricted to [0, t) is the constant block matrix below
-        # (direct 2x2 inversion of each diagonal pair of K + Id).
-        ik_inv = BlockOperator(
-            grid,
-            {(0, 0): 1j, (0, 1): 1j, (1, 0): 1j, (2, 2): 1j, (2, 3): 1j, (3, 2): 1j},
-        )
-        target = block_identity(grid) + ops.L.compose(ik_inv)
+        target = block_identity(grid) + ops.L.compose(_id_plus_k_inverse(grid))
         sign, logabs = np.linalg.slogdet(target.dense())
         return complex(sign * np.exp(logabs))
     raise ValidationError(f"method must be 'product' or 'dense', got {method!r}")
 
 
-def _closed_tt(q: CPQuery) -> TTValue:
+def _closed_tt(q: CPQuery, planar: Optional[complex] = None) -> TTValue:
+    """Closed-form TTValue at q. planar is the planar factor of the value,
+    the adjudicated kernel at (y1, y2) when omitted; the free third-axis
+    factor is applied when y3 is given."""
     t, k = q.t, q.k
-    value = kernel_value(ADJUDICATED_VARIANT, t, k, q.y1, q.y2)
+    if planar is None:
+        planar = kernel_value(ADJUDICATED_VARIANT, t, k, q.y1, q.y2)
+    value = complex(planar)
     if q.y3 is not None:
         value *= _free_factor_1d(t, q.y3)
     tk = _tan_over_k(k, t)
@@ -597,24 +594,11 @@ def generating_functional(q: CPQuery, xi: Optional[GridFunction] = None) -> TTVa
     pin = np.exp(0.5 * minv_diag * (u1 * u1 + u2 * u2))
 
     pref = kernel_value(ADJUDICATED_VARIANT, t, k, 0.0, 0.0)
-    value = complex(pref * gauss * pin)
-    if q.y3 is not None:
-        value *= _free_factor_1d(t, q.y3)
-    tk = _tan_over_k(k, t)
-    return TTValue(
-        value=value,
-        det_NK=complex(math.cos(k * t) ** 2),
-        det_M=complex(-(tk * tk)),
-        branch_note=f"closed form, variant {ADJUDICATED_VARIANT.label()}; "
-        "per-eigenvalue principal square roots",
-    )
+    return _closed_tt(q, pref * gauss * pin)
 
 
 def propagator(q: CPQuery) -> complex:
     """Closed-form propagator at q (adjudicated variant), with the optional
     free third-axis factor when y3 is given."""
     q.validate()
-    value = kernel_value(ADJUDICATED_VARIANT, q.t, q.k, q.y1, q.y2)
-    if q.y3 is not None:
-        value *= _free_factor_1d(q.t, q.y3)
-    return complex(value)
+    return _closed_tt(q).value

@@ -311,10 +311,10 @@ def adjudicate(
         )
 
     sliced = time_sliced_propagator(query, slices, eps0=eps0)
+    ref = complex(kernel_value(ADJUDICATED_VARIANT, t, k, y1, y2))
     convergence = []
     for nsl in (64, 128, 256):
-        val = time_sliced_propagator(query, nsl, eps0=eps0)
-        ref = complex(kernel_value(ADJUDICATED_VARIANT, t, k, y1, y2))
+        val = sliced if nsl == slices else time_sliced_propagator(query, nsl, eps0=eps0)
         convergence.append((nsl, abs(val - ref) / abs(ref)))
 
     pde_scores: Dict[str, Tuple[float, float, float]] = {}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,13 @@ class TestOutFile:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("t,k,re,im\n")
+
+
+def test_import_leaves_scipy_sparse_out():
+    src = str(Path(mp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, magprop.cli; print('scipy.sparse' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

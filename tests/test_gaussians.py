@@ -185,6 +185,26 @@ class TestPinnedGauss:
         assert a.value == pytest.approx(b.value, rel=1e-12)
         assert a.det_NK == pytest.approx(b.det_NK, rel=1e-12)
 
+    def test_equal_endpoint_pins(self):
+        # Equal pins make the pinning matrix [[ia, ie], [ie, ia]] with
+        # e ~ 1e-17 a; on this case LAPACK's eigensolver did not converge.
+        t, k = 0.5959519055078327, -0.9487937499610062
+        y1, y2 = 0.37118829363228345, 0.3067233832646371
+        g = mp.make_grid(t, 64)
+        vals = np.zeros((4, g.n), dtype=complex)
+        for comp, amp, center, width in ((0, -0.196176, 0.38826, 0.10249),
+                                         (2, -0.145513, 0.418595, 0.084791)):
+            vals[comp] += amp * np.exp(-(((g.nodes - center) / width) ** 2))
+        xi = mp.GridFunction(g, vals)
+        ones, zeros = np.ones(g.n), np.zeros(g.n)
+        eta1 = mp.GridFunction.stack(g, [ones, zeros, zeros, zeros])
+        eta3 = mp.GridFunction.stack(g, [zeros, zeros, ones, zeros])
+        ops = mp.build_cp_operators(g, k)
+        spec = mp.PinnedGaussSpec(K=ops.K, L=ops.L, pins=((eta1, y1), (eta3, y2)))
+        got = mp.tt_pinned_gauss(spec, xi).value
+        want = mp.generating_functional(mp.CPQuery(t=t, k=k, y1=y1, y2=y2), xi).value
+        assert abs(got - want) <= 1e-4 * abs(want)
+
     def test_shift_field_matches_manual_shift(self, unit_grid):
         rng = np.random.default_rng(4)
         eta = mp.GridFunction(unit_grid, rng.standard_normal(unit_grid.n))

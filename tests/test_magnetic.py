@@ -7,6 +7,7 @@ import magprop as mp
 from magprop.errors import CausticError, ValidationError
 from magprop.magnetic import (
     _closed_preimage,
+    _id_plus_k_inverse,
     _k_over_sin,
     _k_over_tan,
     _tan_over_k,
@@ -148,7 +149,7 @@ class TestClosedInverse:
 
 
 class TestPreimages:
-    @pytest.mark.parametrize("t,k", [(1.0, 1.0), (0.5, 2.0), (1.3, 0.7)])
+    @pytest.mark.parametrize("t,k", [(1.0, 1.0), (0.5, 2.0), (1.3, 0.7), (1.0, -1.0)])
     def test_bvp_matches_closed_form(self, t, k):
         g = mp.make_grid(t, 2048)
         for which in ("eta1", "eta3"):
@@ -217,10 +218,7 @@ class TestSpectrum:
         t, k, n = 1.0, 1.0, 48
         g = mp.make_grid(t, n)
         ops = mp.build_cp_operators(g, k)
-        ik_inv = mp.BlockOperator(
-            g, {(0, 0): 1j, (0, 1): 1j, (1, 0): 1j, (2, 2): 1j, (2, 3): 1j, (3, 2): 1j}
-        )
-        target = mp.block_identity(g) + ops.L.compose(ik_inv)
+        target = mp.block_identity(g) + ops.L.compose(_id_plus_k_inverse(g))
         brute = np.sort_complex(np.linalg.eigvals(target.dense()))
         lam = np.linalg.eigvalsh(mp.discretize("A", g).application.real)
         structured = np.sort_complex(

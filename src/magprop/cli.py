@@ -3,9 +3,10 @@
 Subcommands: propagator, spectrum, det, mmatrix, tgen, oracle, sweep.
 Output is JSON (CSV for sweep) on stdout or to --out; given identical
 arguments the bytes emitted are identical. Exit codes: 0 success, 1 usage
-error, 2 invalid query (bad domain, caustic time), 3 numerical failure
-(singular or ill-conditioned solve, failed convergence, failed
-adjudication).
+error or an --out file that cannot be written (``error: cannot write
+<path>: <reason>`` on stderr), 2 invalid query (bad domain, caustic time),
+3 numerical failure (singular or ill-conditioned solve, failed
+convergence, failed adjudication, a non-finite value in the output).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class _UsageError(Exception):
     pass
 
 
+class _WriteError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions (exit code 1, not
     argparse's default 2, which this tool reserves for invalid queries)."""
@@ -58,13 +63,20 @@ def _cmat(m: np.ndarray) -> list:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in the result: {exc}") from exc
+    _emit(text + "\n", out)
 
 
 def _meta(**extra) -> dict:
@@ -298,6 +310,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args)
+    except _WriteError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

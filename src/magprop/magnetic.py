@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import polygamma
 
 from .errors import CausticError, NumericalError, ValidationError
 from .gaussians import TTValue
@@ -93,6 +91,8 @@ def _check_caustic(t: float, k: float):
         raise ValidationError(f"t must be positive and finite, got {t}")
     if not np.isfinite(k):
         raise ValidationError(f"k must be finite, got {k}")
+    if not np.isfinite(k * t):
+        raise ValidationError(f"k*t must be finite, got k={k}, t={t}")
     if k != 0 and abs(math.cos(k * t)) < CAUSTIC_TOL:
         raise CausticError(
             f"t={t}, k={k} lies within tolerance of a caustic time "
@@ -332,6 +332,8 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     boundary error does not dominate the pairing integrals. Ordered node by
     node, the system is banded and is solved directly in O(n).
     """
+    from scipy.linalg import solve_banded  # scipy loads only where it is used
+
     key = _PIN_ALIASES.get(which)
     if key is None:
         raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
@@ -475,6 +477,8 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     therefore replaces the dense 4n x 4n problem (the dense route is kept as
     a small-n cross-check in the tests).
     """
+    if not np.isfinite(k):
+        raise ValidationError(f"k must be finite, got {k}")
     if count < 1 or count > grid.n:
         raise ValidationError(f"count must be in [1, {grid.n}], got {count}")
     a_app = discretize("A", grid).application
@@ -504,7 +508,9 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
 
     t = grid.t_end
     closed = tuple(
-        1.0 - (k * t) ** 2 / ((m - 0.5) * math.pi) ** 2 for m in range(1, count + 1)
+        # (kt)(kt), not (kt) ** 2: past |kt| ~ 1e154 the float power raises
+        # OverflowError, the product gives inf and the CLI reports exit 3
+        1.0 - (k * t) * (k * t) / ((m - 0.5) * math.pi) ** 2 for m in range(1, count + 1)
     )
     return SpectrumResult(eigenvalues=tuple(reps), closed_form=closed, multiplicities=tuple(mults))
 
@@ -521,15 +527,20 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     """
     if not (np.isfinite(t) and t > 0):
         raise ValidationError(f"t must be positive and finite, got {t}")
+    if not np.isfinite(k):
+        raise ValidationError(f"k must be finite, got {k}")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if method == "product":
+        from scipy.special import polygamma
+
         m = np.arange(1, order + 1, dtype=float)
-        v = 1.0 - (k * t) ** 2 / ((m - 0.5) * math.pi) ** 2
+        kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
+        v = 1.0 - kt2 / ((m - 0.5) * math.pi) ** 2
         if np.any(v == 0.0):
             return 0.0 + 0j
         body = np.exp(2.0 * np.sum(np.log(np.abs(v))))
-        tail = math.exp(-2.0 * (k * t) ** 2 / math.pi**2 * float(polygamma(1, order + 0.5)))
+        tail = math.exp(-2.0 * kt2 / math.pi**2 * float(polygamma(1, order + 0.5)))
         return complex(body * tail)
     if method == "dense":
         grid = GridSpec(t, order)

@@ -32,8 +32,6 @@ from .magnetic import (
     VARIANTS,
     CPQuery,
     KernelVariant,
-    _k_over_sin,
-    _k_over_tan,
     kernel_value,
 )
 
@@ -59,56 +57,95 @@ _SLICING_REL_MAX = 1e-2
 
 _SHORT_TIME_TS = (1e-2, 5e-3, 2.5e-3)
 
+_SERIES_CUT = 1e-4  # below this |kt| the trig ratios take their Taylor forms
+# Regularization levels per elimination sweep. One sweep of 8 is enough up
+# to N = 1024 at kt < pi/2 and costs about twice a sweep of 1 (N = 256).
+_LEVEL_BATCH = 8
 
-def _sliced_quadratic_form(t: float, k: float, y: np.ndarray, nslices: int):
-    """Quadratic form of the broken-path integrand.
+_I2 = np.eye(2)
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # quarter turn
+
+
+def _k_over_sin(k: float, t: float) -> float:
+    """k / sin(kt), continued through k = 0 as 1/t."""
+    x = k * t
+    if abs(x) < _SERIES_CUT:
+        return (1.0 + x * x / 6.0 + 7.0 * x**4 / 360.0) / t
+    return k / math.sin(x)
+
+
+def _k_over_tan(k: float, t: float) -> float:
+    """k / tan(kt), continued through k = 0 as 1/t."""
+    x = k * t
+    if abs(x) < _SERIES_CUT:
+        return (1.0 - x * x / 3.0 - x**4 / 45.0) / t
+    return k / math.tan(x)
+
+
+def _sliced_block_form(t: float, k: float, y: np.ndarray, nslices: int):
+    """Quadratic form of the broken-path integrand, block tridiagonal.
 
     Integration variables z = (p_1, x_1, ..., p_{N-1}, x_{N-1}, p_N), each
     slot a point in the plane, with x_0 = 0 and x_N = y held fixed. The
     midpoint-rule action gives i S(z) = i (z^T Shat z + b^T z + c0) with
 
-      sum_j [ p_j.(x_j - x_{j-1}) - eps/2 |p_j|^2
-              + eps k/2 (x_{j-1}+x_j)^T J p_j - eps k^2/8 |x_{j-1}+x_j|^2 ]
+      sum_j [ p_j.(x_j - x_{j-1}) - dt/2 |p_j|^2
+              + dt k/2 (x_{j-1}+x_j)^T J p_j - dt k^2/8 |x_{j-1}+x_j|^2 ]
 
-    where J is the quarter-turn matrix and eps = t/N.
+    where J is the quarter-turn matrix and dt = t/N. Q = Shat + Shat^T
+    couples only neighbouring slots and x_{j-1} to x_j, so grouping the
+    slots by block j = 0..N-1 as (p_{j+1}, x_j), momentum first, makes it
+    block tridiagonal with 4x4 blocks. x_0 is not a variable: its two
+    entries pad block 0 and stay zero.
+
+    Returns (diag, sub, b, c0): diag[j] is Q on block j, sub[j] is
+    Q[block j+1, block j], and b[j] holds the linear term on block j. Each
+    entry is summed as Shat + Shat^T would sum it, term by term.
     """
-    eps = t / nslices
-    dim = 4 * nslices - 2
-    shat = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dt = t / nslices
+    half = dt * k / 2.0
+    xx = -(dt * k * k / 8.0)
+    diag = np.zeros((nslices, 4, 4))
+    sub = np.zeros((nslices - 1, 4, 4))
+    diag[:, :2, :2] = 2.0 * -(dt / 2.0) * _I2  # p_{j+1} p_{j+1}
+    diag[1:, :2, 2:] = -_I2 + half * _J.T  # p_{j+1} x_j
+    diag[1:, 2:, :2] = -_I2 + half * _J  # x_j p_{j+1}
+    diag[1:, 2:, 2:] = 4.0 * xx * _I2  # x_j x_j: slices j and j+1
+    sub[:, 2:, :2] = _I2 + half * _J  # x_{j+1} p_{j+1}
+    sub[1:, 2:, 2:] = -(dt * k * k / 4.0) * _I2  # x_{j+1} x_j
+    b = np.zeros((nslices, 4))
+    b[-1, :2] = y + half * (_J.T @ y)  # p_N
+    b[-1, 2:] = -(dt * k * k / 4.0) * y  # x_{N-1}
+    c0 = xx * float(y @ y)
+    return diag, sub, b, c0
 
-    def pidx(j):
-        return slice(4 * (j - 1), 4 * (j - 1) + 2)
 
-    def xidx(j):
-        return slice(4 * (j - 1) + 2, 4 * (j - 1) + 4)
+def _sliced_elimination(diag, sub, b, eps):
+    """LDL^T of A = eps I - i Q without pivoting, one per level in eps.
 
-    for j in range(1, nslices + 1):
-        p = pidx(j)
-        shat[p, p] += -(eps / 2.0) * np.eye(2)
-        if j <= nslices - 1:
-            shat[p, xidx(j)] += np.eye(2)
-        else:
-            b[p] += y
-        if j >= 2:
-            shat[p, xidx(j - 1)] += -np.eye(2)
-        if j >= 2:
-            shat[xidx(j - 1), p] += (eps * k / 2.0) * jmat
-        if j <= nslices - 1:
-            shat[xidx(j), p] += (eps * k / 2.0) * jmat
-        else:
-            b[p] += (eps * k / 2.0) * (jmat.T @ y)
-        if j >= 2:
-            shat[xidx(j - 1), xidx(j - 1)] += -(eps * k * k / 8.0) * np.eye(2)
-        if j <= nslices - 1:
-            shat[xidx(j), xidx(j)] += -(eps * k * k / 8.0) * np.eye(2)
-        if 2 <= j <= nslices - 1:
-            shat[xidx(j - 1), xidx(j)] += -(eps * k * k / 4.0) * np.eye(2)
-        if j == nslices:
-            b[xidx(nslices - 1)] += -(eps * k * k / 4.0) * y
-    c0 = -(eps * k * k / 8.0) * float(y @ y)
-    return shat + shat.T, b, c0
+    Block recursion D_j = A_jj - A_{j,j-1} D_{j-1}^-1 A_{j-1,j} with the
+    right-hand side carried along, then a scalar elimination inside each
+    final block. Returns (pivots, w), both of shape (N, levels, 4) in block
+    order (p_{j+1} then x_j): the scalar pivots d_i and w = L^-1 b, so that
+    log det A = sum log d_i and b^T A^-1 b = sum w_i^2 / d_i. O(N) time and
+    memory per level.
+    """
+    aug = np.empty((len(diag), len(eps), 4, 5), dtype=complex)  # [A_jj | b_j]
+    aug[..., :4] = eps[:, None, None] * np.eye(4) - 1j * diag[:, None]
+    aug[..., 4] = b[:, None, :]
+    aug[0, :, 2:, 2:4] = _I2  # the x_0 padding: decoupled, pivots exactly 1
+    low = -1j * sub
+    rhs = np.empty((len(eps), 4, 5), dtype=complex)
+    for j in range(1, len(aug)):
+        rhs[..., :4] = low[j - 1].T
+        rhs[..., 4] = aug[j - 1, :, :, 4]
+        aug[j] -= low[j - 1] @ np.linalg.solve(aug[j - 1, :, :, :4], rhs)
+    for c in range(4):
+        aug[..., c + 1 :, c + 1 :] -= (
+            aug[..., c + 1 :, c, None] / aug[..., c, c, None, None] * aug[..., None, c, c + 1 :]
+        )
+    idx = np.arange(4)
+    return aug[..., idx, idx], aug[..., 4]
 
 
 def time_sliced_propagator(
@@ -117,11 +154,26 @@ def time_sliced_propagator(
     """Broken-path phase-space integral with N = ``slices`` time steps.
 
     The oscillatory Gaussian over z is regularized by a damping parameter
-    eps > 0 (eigenvalues eps - i d_m of the quadratic form, all with positive
-    real part, so every factor takes its principal root and the integral is
-    absolutely convergent); the eps -> 0+ limit is taken by Richardson
+    eps > 0: the integral is (2 pi)^-1 det(A)^(-1/2) exp(-b^T A^-1 b / 2 +
+    i c0) with A = eps I - i Q, absolutely convergent because the Hermitian
+    part of A is eps I. The eps -> 0+ limit is taken by Richardson
     extrapolation over eps_j = eps0 2^{-j} until the extrapolant stagnates
-    below ``tol``. One symmetric eigendecomposition serves every level.
+    below ``tol``; several levels share one elimination sweep.
+
+    det(A) and b^T A^-1 b come from a block LDL^T elimination of the block
+    tridiagonal A without pivoting, in O(N) time and memory per level.
+    Branch of det^(-1/2): every Schur complement of A keeps Hermitian part
+    eps I, so every pivot has positive real part, and det^(-1/2) is the
+    product of the principal roots of the pivots. Along A(s) = eps I - i s Q,
+    s from 0 to 1, the pivots and the eigenvalues eps - i s d_m of A all
+    stay in the right half plane, so the sum of the principal logs of the
+    pivots and that of the eigenvalues both move continuously, differ by a
+    multiple of 2 pi i, and agree at s = 0: the branches are the same.
+    Momentum p_{j+1} is eliminated before x_j, so as eps -> 0 the position
+    pivots tend to those of the configuration-space form, which vanish only
+    at discrete conjugate points. (In plain slot order the first position
+    pivot tends to zero when k t / N = 2, and the extrapolation then does
+    not settle.)
 
     The query must be planar (y3 unset); the third axis is exactly free and
     carries no information about the variant choice.
@@ -135,22 +187,31 @@ def time_sliced_propagator(
         raise ValidationError("the sliced oracle is planar; leave y3 unset")
 
     y = np.array([q.y1, q.y2], dtype=float)
-    quad, b, c0 = _sliced_quadratic_form(q.t, q.k, y, slices)
-    dvals, vecs = np.linalg.eigh(quad)
-    bt = vecs.T @ b
+    diag, sub, b, c0 = _sliced_block_form(q.t, q.k, y, slices)
 
-    def value_at(eps: float) -> complex:
-        lam = eps - 1j * dvals
-        logdet_m12 = -0.5 * np.sum(np.log(lam))
-        quad_term = np.sum(bt * bt / lam)
-        return complex(np.exp(logdet_m12 - 0.5 * quad_term + 1j * c0) / (2.0 * np.pi))
+    def values_at(eps: np.ndarray) -> list:
+        piv, w = _sliced_elimination(diag, sub, b, eps)
+        quad = np.sum(w * w / piv, axis=(0, 2))
+        # Each p pivot (about i t/N) times the x pivot after it (about
+        # N/(i t)) is O(1), and a product of two numbers in the right half
+        # plane has the sum of their principal logs as its principal log.
+        # The O(1) logs, summed exactly, keep the rounding noise of log det
+        # below the stagnation test; the 4N logs of size log N would not.
+        logs = np.log(piv[..., :2] * piv[..., 2:]).swapaxes(0, 1).reshape(len(eps), -1)
+        out = []
+        for lev in range(len(eps)):
+            logdet = complex(math.fsum(logs[lev].real), math.fsum(logs[lev].imag))
+            out.append(complex(np.exp(-0.5 * logdet - 0.5 * quad[lev] + 1j * c0) / (2.0 * np.pi)))
+        return out
 
-    vals = []
+    vals: list = []
     prev_head: Optional[complex] = None
     for level in range(max_levels):
-        vals.append(value_at(eps0 * 2.0 ** (-level)))
-        table = list(vals)
-        for m in range(1, len(vals)):
+        if level == len(vals):
+            batch = np.arange(level, min(level + _LEVEL_BATCH, max_levels))
+            vals.extend(values_at(eps0 * 2.0 ** (-batch)))
+        table = vals[: level + 1]
+        for m in range(1, level + 1):
             fac = 2.0**m
             table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
         head = table[0]

@@ -285,11 +285,58 @@ class TestOutFile:
         assert target.read_text().startswith("t,k,re,im\n")
 
 
+class TestDomainAndOutputFailures:
+    # each argv once escaped with a NaN in the JSON, a traceback, or exit 0
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["det", "--t", "1.0", "--k", "nan", "--method", "product", "--order", "10"], 2),
+            (["spectrum", "--t", "1.0", "--k", "inf", "--n", "64", "--count", "3"], 2),
+            (["propagator", "--t", "1.0", "--k", "1.0", "--out", "{missing}/out.json"], 1),
+            (["propagator", "--t", "1e308", "--k", "1e308"], 2),
+        ],
+        ids=["det_k_nan", "spectrum_k_inf", "out_missing_dir", "propagator_1e308"],
+    )
+    def test_exit_code_without_traceback(self, capsys, tmp_path, argv, code):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        assert cli.run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out_names_the_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        assert cli.run(["propagator", "--t", "1.0", "--k", "1.0", "--out", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--t", "1.0", "--k", "1e200", "--n", "64", "--count", "3"],
+            ["det", "--t", "1.0", "--k", "1e200", "--method", "product", "--order", "10"],
+        ],
+        ids=["spectrum", "det"],
+    )
+    def test_non_finite_result_exits_three(self, capsys, argv):
+        # k is finite, but (kt)^2 overflows to inf
+        with np.errstate(all="ignore"):
+            code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+
 def test_import_leaves_scipy_sparse_out():
+    # nor scipy.linalg or scipy.special: only the solves that use them load them
     src = str(Path(mp.__file__).resolve().parents[1])
+    mods = ("scipy.sparse", "scipy.linalg", "scipy.special")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, magprop.cli; print('scipy.sparse' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, magprop.cli; print([m in sys.modules for m in {mods}])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"

@@ -1,27 +1,139 @@
+import ast
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import magprop as mp
+from magprop import oracle
 from magprop.errors import AdjudicationError, ConvergenceError, ValidationError
-from magprop.oracle import _sliced_quadratic_form
+from magprop.oracle import _sliced_block_form, _sliced_elimination
+
+
+# -- test-only reference: the dense form and its eigendecomposition --------
+
+
+def _dense_sliced_form(t, k, y, nslices):
+    """Dense quadratic form of the broken-path integrand, built slice by
+    slice in slot order z = (p_1, x_1, ..., p_{N-1}, x_{N-1}, p_N)."""
+    eps = t / nslices
+    dim = 4 * nslices - 2
+    shat = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def pidx(j):
+        return slice(4 * (j - 1), 4 * (j - 1) + 2)
+
+    def xidx(j):
+        return slice(4 * (j - 1) + 2, 4 * (j - 1) + 4)
+
+    for j in range(1, nslices + 1):
+        p = pidx(j)
+        shat[p, p] += -(eps / 2.0) * np.eye(2)
+        if j <= nslices - 1:
+            shat[p, xidx(j)] += np.eye(2)
+        else:
+            b[p] += y
+        if j >= 2:
+            shat[p, xidx(j - 1)] += -np.eye(2)
+        if j >= 2:
+            shat[xidx(j - 1), p] += (eps * k / 2.0) * jmat
+        if j <= nslices - 1:
+            shat[xidx(j), p] += (eps * k / 2.0) * jmat
+        else:
+            b[p] += (eps * k / 2.0) * (jmat.T @ y)
+        if j >= 2:
+            shat[xidx(j - 1), xidx(j - 1)] += -(eps * k * k / 8.0) * np.eye(2)
+        if j <= nslices - 1:
+            shat[xidx(j), xidx(j)] += -(eps * k * k / 8.0) * np.eye(2)
+        if 2 <= j <= nslices - 1:
+            shat[xidx(j - 1), xidx(j)] += -(eps * k * k / 4.0) * np.eye(2)
+        if j == nslices:
+            b[xidx(nslices - 1)] += -(eps * k * k / 4.0) * y
+    c0 = -(eps * k * k / 8.0) * float(y @ y)
+    return shat + shat.T, b, c0
+
+
+def _eigh_sliced_propagator(q, slices, eps0=1e-4, tol=1e-12, max_levels=40):
+    """The sliced integral from one dense symmetric eigendecomposition, with
+    the same Richardson stop rule as time_sliced_propagator."""
+    y = np.array([q.y1, q.y2], dtype=float)
+    quad, b, c0 = _dense_sliced_form(q.t, q.k, y, slices)
+    dvals, vecs = np.linalg.eigh(quad)
+    bt = vecs.T @ b
+
+    def value_at(eps):
+        lam = eps - 1j * dvals
+        logdet_m12 = -0.5 * np.sum(np.log(lam))
+        quad_term = np.sum(bt * bt / lam)
+        return complex(np.exp(logdet_m12 - 0.5 * quad_term + 1j * c0) / (2.0 * np.pi))
+
+    vals = []
+    prev_head = None
+    for level in range(max_levels):
+        vals.append(value_at(eps0 * 2.0 ** (-level)))
+        table = list(vals)
+        for m in range(1, len(vals)):
+            fac = 2.0**m
+            table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
+        head = table[0]
+        if prev_head is not None and abs(head - prev_head) <= tol * max(1.0, abs(head)):
+            return head
+        prev_head = head
+    raise ConvergenceError("reference extrapolation did not stagnate")
+
+
+def _block_form_dense(t, k, y, nslices):
+    """The block tridiagonal form expanded to a dense matrix in slot order.
+    Block j holds (p_{j+1}, x_j) at slot indices 4j, 4j+1, 4j-2, 4j-1; x_0
+    (indices -2, -1) is padding and is dropped."""
+    diag, sub, b, c0 = _sliced_block_form(t, k, y, nslices)
+    dim = 4 * nslices - 2
+    pos = [[4 * j, 4 * j + 1, 4 * j - 2, 4 * j - 1] for j in range(nslices)]
+    full = np.zeros((dim + 2, dim + 2))  # index -2, -1 wrap into the padding rows
+    vec = np.zeros(dim + 2)
+    for j in range(nslices):
+        full[np.ix_(pos[j], pos[j])] = diag[j]
+        vec[pos[j]] = b[j]
+        if j + 1 < nslices:
+            full[np.ix_(pos[j + 1], pos[j])] = sub[j]
+            full[np.ix_(pos[j], pos[j + 1])] = sub[j].T
+    return full[:dim, :dim], vec[:dim], c0
+
+
+# (t, k): k = 0, k < 0, and kt in {0.5, 1.55, 2.5, 6}
+_REFERENCE_QUERIES = [(0.8, 0.0), (0.7, -1.0), (1.0, 0.5), (1.0, 1.55), (1.0, 2.5), (1.0, 6.0)]
 
 
 class TestSlicedForm:
     def test_shape_and_symmetry(self):
         for nsl in (2, 3, 7):
-            shat, b, c0 = _sliced_quadratic_form(0.9, 1.1, np.array([0.3, -0.2]), nsl)
+            shat, b, c0 = _block_form_dense(0.9, 1.1, np.array([0.3, -0.2]), nsl)
             assert shat.shape == (4 * nsl - 2, 4 * nsl - 2)
             assert b.shape == (4 * nsl - 2,)
             assert np.array_equal(shat, shat.T)
             assert isinstance(c0, float)
 
     def test_free_form_has_no_position_coupling(self):
-        shat, b, c0 = _sliced_quadratic_form(1.0, 0.0, np.array([0.5, 0.5]), 4)
+        shat, b, c0 = _block_form_dense(1.0, 0.0, np.array([0.5, 0.5]), 4)
         # at k = 0 the x-x and x-p couplings vanish; only p-p and p-x chain terms remain
         assert c0 == 0.0
         for j in range(1, 4):
             xs = slice(4 * (j - 1) + 2, 4 * (j - 1) + 4)
             assert np.array_equal(shat[xs, xs], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("nsl", [2, 3, 7, 64])
+    @pytest.mark.parametrize("k", [0.0, 1.1, -2.3])
+    def test_matches_the_dense_reference_form(self, nsl, k):
+        y = np.array([0.3, -0.2])
+        shat, b, c0 = _block_form_dense(0.9, k, y, nsl)
+        ref_shat, ref_b, ref_c0 = _dense_sliced_form(0.9, k, y, nsl)
+        assert np.array_equal(shat, ref_shat)
+        assert np.array_equal(b, ref_b)
+        assert c0 == ref_c0
 
 
 class TestTimeSlicing:
@@ -67,6 +179,51 @@ class TestTimeSlicing:
         q = mp.CPQuery(t=0.5, k=1.0, y1=0.0, y2=0.0)
         with pytest.raises(ConvergenceError):
             mp.time_sliced_propagator(q, 8, max_levels=1)
+
+    @pytest.mark.parametrize("nsl", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("t,k", _REFERENCE_QUERIES)
+    def test_matches_the_eigendecomposition_route(self, t, k, nsl):
+        q = mp.CPQuery(t=t, k=k, y1=0.2, y2=0.1)
+        got = mp.time_sliced_propagator(q, nsl)
+        want = _eigh_sliced_propagator(q, nsl)
+        assert abs(got - want) / abs(want) <= 1e-10
+        # the branch argument: every pivot lies in the right half plane
+        diag, sub, b, _ = _sliced_block_form(t, k, np.array([0.2, 0.1]), nsl)
+        piv, _ = _sliced_elimination(diag, sub, b, 1e-4 * 2.0 ** -np.arange(16))
+        assert np.all(piv.real > 0)
+
+    def test_many_slices_in_linear_memory(self):
+        # a dense form at N = 1024 alone takes 134 MB
+        q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
+        tracemalloc.start()
+        try:
+            mp.time_sliced_propagator(q, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_4096_slices_follow_the_first_order_law(self):
+        # dense, this form would take 2 GB; the 1/N law predicts about 6e-5
+        q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
+        want = mp.propagator(q)
+        assert abs(mp.time_sliced_propagator(q, 4096) - want) / abs(want) < 1e-4
+
+
+class TestIndependence:
+    def test_no_private_names_from_magnetic(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("magnetic"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"oracle imports {private} from magnetic"
+
+    def test_own_trig_ratios(self):
+        assert oracle._k_over_sin(0.0, 2.0) == 0.5
+        assert oracle._k_over_tan(0.0, 2.0) == 0.5
+        for k in (9e-5, 1.1e-4, 0.7, -2.0):
+            assert oracle._k_over_sin(k, 1.0) == pytest.approx(k / math.sin(k), rel=1e-13)
+            assert oracle._k_over_tan(k, 1.0) == pytest.approx(k / math.tan(k), rel=1e-13)
 
 
 class TestPdeResidual:

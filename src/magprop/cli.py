@@ -309,7 +309,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(parser.format_usage())
         return 1
     try:
-        _COMMANDS[args.command](args)
+        # A non-finite result exits 3 through allow_nan=False; numpy's own
+        # RuntimeWarning on the way there would only add noise to stderr.
+        with np.errstate(all="ignore"):
+            _COMMANDS[args.command](args)
     except _WriteError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

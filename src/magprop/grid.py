@@ -222,6 +222,57 @@ def discretize(name: str, grid: GridSpec) -> OperatorMatrix:
     raise ValidationError(f"unknown operator name {name!r}; expected one of {_OPERATOR_NAMES}")
 
 
+# O(n) applies of the kernel operators. Each acts along axis 0 of v (any
+# trailing shape) and equals discretize(name, grid).application @ v up to
+# rounding: the kernels are rank-1 on either side of the diagonal, so one
+# prefix or suffix sum replaces the dense product.
+
+
+def _column(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Node samples x shaped to broadcast against an ndim array along axis 0."""
+    return x.reshape(x.shape + (1,) * (ndim - 1))
+
+
+def _prefix_sum(v: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum along axis 0: out[i] = sum_{j<i} v[j]."""
+    out = np.zeros_like(v)
+    np.cumsum(v[:-1], axis=0, out=out[1:])
+    return out
+
+
+def _suffix_sum(v: np.ndarray) -> np.ndarray:
+    """Exclusive suffix sum along axis 0: out[i] = sum_{j>i} v[j]."""
+    out = np.zeros_like(v)
+    np.cumsum(v[:0:-1], axis=0, out=out[-2::-1])
+    return out
+
+
+def _a_apply(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """A v: h [(t - s_i) sum_{j<=i} v_j + sum_{j>i} (t - s_j) v_j]."""
+    rest = _column(grid.t_end - grid.nodes, v.ndim)
+    out = np.cumsum(v, axis=0)
+    out *= rest
+    out += _suffix_sum(rest * v)
+    out *= grid.weight
+    return out
+
+
+def _b_apply(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """B v: h [sum_{j<i} v_j + v_i / 2]."""
+    out = _prefix_sum(v)
+    out += 0.5 * v
+    out *= grid.weight
+    return out
+
+
+def _bstar_apply(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """B* v: h [sum_{j>i} v_j + v_i / 2]."""
+    out = _suffix_sum(v)
+    out += 0.5 * v
+    out *= grid.weight
+    return out
+
+
 # A block is either a complex scalar (meaning scalar * identity, exact) or an
 # (n, n) application matrix. Zero blocks are simply absent from the dict.
 Block = "complex | np.ndarray"
@@ -288,24 +339,22 @@ class BlockOperator:
         return GridFunction(self.grid, out)
 
     def dense(self) -> np.ndarray:
-        n = self.grid.n
-        out = np.zeros((4 * n, 4 * n), dtype=complex)
-        for (i, j), blk in self.blocks.items():
-            view = out[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            if np.isscalar(blk):
-                view[np.diag_indices(n)] = blk
-            else:
-                view[:] = blk
-        return out
+        return self.superblock(range(4), range(4))
 
     def superblock(self, rows, cols) -> np.ndarray:
-        """Dense 2n x 2n matrix of the (rows x cols) sub-grid of blocks."""
+        """Dense matrix of the (rows x cols) sub-grid of blocks."""
         n = self.grid.n
         out = np.zeros((len(rows) * n, len(cols) * n), dtype=complex)
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
-                if (i, j) in self.blocks:
-                    out[a * n:(a + 1) * n, b * n:(b + 1) * n] = self.block(i, j)
+                blk = self.blocks.get((i, j))
+                if blk is None:
+                    continue
+                view = out[a * n:(a + 1) * n, b * n:(b + 1) * n]
+                if np.isscalar(blk):
+                    view[np.diag_indices(n)] = blk
+                else:
+                    view[:] = blk
         return out
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":

@@ -329,6 +329,27 @@ class TestDomainAndOutputFailures:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--t", "1", "--k", "1e200", "--method", "product", "--order", "10"],
+            ["spectrum", "--t", "1", "--k", "1e200", "--n", "16", "--count", "2"],
+        ],
+        ids=["det", "spectrum"],
+    )
+    def test_non_finite_result_prints_one_line(self, argv):
+        # a separate process, so that a numpy RuntimeWarning would reach stderr
+        src = str(Path(mp.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "magprop", *argv],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
+
 
 def test_import_leaves_scipy_sparse_out():
     # nor scipy.linalg or scipy.special: only the solves that use them load them

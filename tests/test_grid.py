@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import magprop as mp
 from magprop.errors import IllConditionedError, SingularOperatorError, ValidationError
-from magprop.grid import OperatorMatrix
+from magprop.grid import OperatorMatrix, _a_apply, _b_apply, _bstar_apply
+from magprop.magnetic import _id_plus_k_inverse
 
 
 def test_grid_spec_validation():
@@ -160,6 +161,43 @@ def test_block_compose_matches_dense():
     y = _random_block_operator(g, rng, [(0, 0), (1, 0), (2, 3), (1, 1), (2, 2)])
     assert np.allclose(x.compose(y).dense(), x.dense() @ y.dense())
     assert np.allclose((x + y).dense(), x.dense() + y.dense())
+
+
+def _dense_by_loop(op):
+    # the materialization dense() used before it went through superblock
+    n = op.grid.n
+    out = np.zeros((4 * n, 4 * n), dtype=complex)
+    for (i, j), blk in op.blocks.items():
+        view = out[i * n:(i + 1) * n, j * n:(j + 1) * n]
+        if np.isscalar(blk):
+            view[np.diag_indices(n)] = blk
+        else:
+            view[:] = blk
+    return out
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_dense_and_superblock_are_one_materialization(k):
+    g = mp.make_grid(1.0, 8)
+    ops = mp.build_cp_operators(g, k)
+    for op in (ops.K, ops.L, ops.N, _id_plus_k_inverse(g), mp.n_inverse_closed(g, k)):
+        want = _dense_by_loop(op)
+        assert np.array_equal(op.dense(), want)
+        assert np.array_equal(op.superblock((0, 1), (2, 3)), want[:16, 16:])
+        assert np.array_equal(op.superblock((2, 3), (2, 3)), want[16:, 16:])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "columns"])
+def test_kernel_applies_match_the_dense_matrices(n, shape):
+    g = mp.make_grid(0.7, n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+    for name, apply in (("A", _a_apply), ("B", _b_apply), ("Bstar", _bstar_apply)):
+        want = mp.discretize(name, g).application @ v
+        got = apply(g, v)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 def test_block_zero_entries_dropped():

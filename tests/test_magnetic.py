@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,9 +13,63 @@ from magprop.magnetic import (
     _id_plus_k_inverse,
     _k_over_sin,
     _k_over_tan,
+    _n_inverse_apply,
+    _resolvent_g,
     _tan_over_k,
     kernel_value,
 )
+
+
+def _dense_resolvent_g(grid, k):
+    """Test-only reference: the application matrix of G = (k^2 A - 1)^-1
+    built densely from its analytic kernel (the route magnetic used before
+    its O(n) apply)."""
+    n = grid.n
+    t = grid.t_end
+    if k == 0:
+        return -np.eye(n, dtype=complex)
+    s = grid.nodes
+    ckt = math.cos(k * t)
+    diff = np.subtract.outer(s, s)
+    lower = np.where(diff > 0, np.sin(k * diff), 0.0)
+    gkern = k * (lower - np.outer(np.cos(k * s), np.sin(k * (t - s))) / ckt)
+    return -np.eye(n, dtype=complex) + gkern * grid.weight
+
+
+def _dense_n_inverse(grid, k):
+    """Test-only reference: the closed N^-1 from dense matrix products of G,
+    A, B and B* (the route n_inverse_closed used before its chained applies)."""
+    g = _dense_resolvent_g(grid, k)
+    blocks = {key: -1j * g for key in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (3, 2))}
+    if k != 0:
+        a_app = mp.discretize("A", grid).application
+        b_app = mp.discretize("B", grid).application
+        bs_app = b_app.T
+        k3 = k**3
+        ag = a_app @ g
+        blocks[(1, 1)] = -1j * (k * k) * ag
+        blocks[(3, 3)] = -1j * (k * k) * ag
+        blocks[(0, 2)] = -1j * (-2.0 * k) * (g @ (b_app - bs_app) @ g)
+        blocks[(0, 3)] = -1j * (-2.0) * (g @ (k * b_app - k3 * (bs_app @ a_app)) @ g)
+        blocks[(1, 2)] = -1j * (2.0) * (g @ (k * bs_app - k3 * (a_app @ b_app)) @ g)
+        blocks[(1, 3)] = -1j * (-2.0 * k3) * (g @ (a_app @ b_app - bs_app @ a_app) @ g)
+    return mp.BlockOperator(grid, blocks)
+
+
+# (t, k) for the apply checks: k = 0 and a tiny k, negative k, |cos kt| = 1e-3
+# next to the caustic at kt = pi/2, and |k| = 20 at small t
+_APPLY_CASES = [
+    (1.0, 0.0),
+    (1.0, 1e-6),
+    (1.0, -2.0),
+    (math.acos(1e-3) / 1.3, 1.3),
+    (0.05, 20.0),
+    (0.1, 20.0),
+]
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestTrigHelpers:
@@ -146,6 +203,45 @@ class TestClosedInverse:
         g = mp.make_grid(np.pi / 2, 64)
         with pytest.raises(CausticError):
             mp.n_inverse_closed(g, 1.0)
+
+
+class TestChainedApplies:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("t,k", _APPLY_CASES)
+    def test_resolvent_apply_matches_dense_kernel(self, t, k, n):
+        g = mp.make_grid(t, n)
+        rng = np.random.default_rng(n)
+        dense = _dense_resolvent_g(g, k)
+        for shape in ((n,), (n, 3)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert _rel_err(_resolvent_g(g, k, v), dense @ v) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("t,k", _APPLY_CASES)
+    def test_n_inverse_apply_matches_dense_reference(self, t, k, n):
+        g = mp.make_grid(t, n)
+        dense = _dense_n_inverse(g, k).dense()
+        # Next to a caustic the near-null mode of k^2 A - 1 (eigenvalue of
+        # order cos kt) amplifies rounding in both routes by 1/|cos kt|: at
+        # |cos kt| = 1e-3 each is off by up to 3.3e-13 from an extended-
+        # precision build of this dense formula. Elsewhere the bound is 1e-13.
+        tol = max(1e-13, 10 * np.finfo(float).eps / abs(math.cos(k * t)))
+        rng = np.random.default_rng(n)
+        for shape in ((4, n), (4, n, 3)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = (dense @ v.reshape(4 * n, -1)).reshape(shape)
+            assert _rel_err(_n_inverse_apply(g, k, v), want) <= tol
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("t,k", _APPLY_CASES)
+    def test_closed_blocks_match_dense_reference(self, t, k, n):
+        g = mp.make_grid(t, n)
+        want = _dense_n_inverse(g, k)
+        got = mp.n_inverse_closed(g, k)
+        assert got.blocks.keys() == want.blocks.keys()
+        assert len(got.blocks) == (6 if k == 0 else 12)
+        for key, blk in want.blocks.items():
+            assert _rel_err(got.blocks[key], blk) <= 1e-12, key
 
 
 class TestPreimages:
@@ -340,6 +436,23 @@ class TestGeneratingFunctional:
         v = mp.generating_functional(q)
         assert v.det_NK == pytest.approx(np.cos(1.0) ** 2)
         assert v.det_M == pytest.approx(-np.tan(1.0) ** 2)
+
+    def test_large_n_in_linear_memory(self):
+        # a dense 4n x 4n inverse at n = 2^18 would take about 17 TB
+        q = mp.CPQuery(t=1.0, k=1.0, y1=0.4, y2=-0.3)
+
+        def value(n):
+            return mp.generating_functional(q, self.make_xi(mp.make_grid(1.0, n))).value
+
+        coarse = value(2**16)
+        tracemalloc.start()
+        try:
+            fine = value(2**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
+        assert abs(fine - coarse) <= 1e-9 * abs(fine)
 
     def test_y3_factor(self):
         g = mp.make_grid(1.0, 96)

@@ -263,6 +263,9 @@ def _cmd_oracle(args) -> None:
         "meta": _meta(
             n=args.slices,
             convergence=[[int(nsl), float(rel)] for nsl, rel in report.convergence],
+            slice_counts=[int(nsl) for nsl in report.slice_counts],
+            n_table=[[_cnum(v) for v in col] for col in report.n_table],
+            extrapolated_value=_cnum(report.extrapolated_value),
             notes=list(report.confidence_notes),
             pde_residuals={lab: [float(x) for x in v]
                            for lab, v in report.pde_residuals.items()},

@@ -47,7 +47,7 @@ class IllConditionedError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An extrapolation or quadrature did not settle within its budget."""
+    """An extrapolation did not settle within its budget."""
 
 
 class AdjudicationError(NumericalError):

@@ -9,11 +9,12 @@ Three oracles, none of which share code with the closed forms they check:
 * ``pde_residual``: finite-difference residual of the magnetic Schroedinger
   equation applied to a candidate kernel.
 * ``short_time_check``: defect of the delta-family property, i.e. how far
-  integrating the candidate kernel against a Gaussian bump and letting
-  t -> 0+ lands from the bump's value at the origin.
+  the exact integral of the candidate kernel against a Gaussian bump,
+  extrapolated to t -> 0+, lands from the bump's value at the origin.
 
 ``adjudicate`` runs all three against every kernel variant and demands a
-unique survivor; the package-level ADJUDICATED_VARIANT constant records its
+unique survivor, with the sliced integral Richardson-extrapolated in the
+slice count N; the package-level ADJUDICATED_VARIANT constant records its
 verdict, and the test suite asserts the two agree.
 """
 
@@ -36,14 +37,8 @@ from .magnetic import (
 )
 
 __all__ = [
-    "KernelVariant",
-    "VARIANTS",
-    "ADJUDICATED_VARIANT",
-    "OracleReport",
-    "time_sliced_propagator",
-    "pde_residual",
-    "short_time_check",
-    "adjudicate",
+    "KernelVariant", "VARIANTS", "ADJUDICATED_VARIANT", "OracleReport",
+    "time_sliced_propagator", "pde_residual", "short_time_check", "adjudicate",
 ]
 
 # Tournament thresholds. The winner must show second-order PDE convergence,
@@ -55,12 +50,16 @@ _PDE_RESID_MAX = 1e-3
 _SHORT_TIME_MAX = 0.05
 _SLICING_REL_MAX = 1e-2
 
-_SHORT_TIME_TS = (1e-2, 5e-3, 2.5e-3)
+_SHORT_TIME_TS = tuple(1e-2 * 2.0**-j for j in range(5))
 
 _SERIES_CUT = 1e-4  # below this |kt| the trig ratios take their Taylor forms
 # Regularization levels per elimination sweep. One sweep of 8 is enough up
 # to N = 1024 at kt < pi/2 and costs about twice a sweep of 1 (N = 256).
 _LEVEL_BATCH = 8
+# Working set per slice of one sweep: [A_jj | b_j] and the eps I - i Q
+# temporary at every level, plus the real block form.
+_SLICE_BYTES = _LEVEL_BATCH * 4 * (5 + 4) * 16 + (16 + 16 + 4) * 8
+_SLICED_MEMORY_BUDGET = 1 << 30
 
 _I2 = np.eye(2)
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # quarter turn
@@ -80,6 +79,16 @@ def _k_over_tan(k: float, t: float) -> float:
     if abs(x) < _SERIES_CUT:
         return (1.0 - x * x / 3.0 - x**4 / 45.0) / t
     return k / math.tan(x)
+
+
+def _richardson(vals: list) -> list:
+    """Richardson columns over values whose step halves from one to the next:
+    column m removes the step^m error term; the last column is the extrapolant."""
+    table = [list(vals)]
+    for m in range(1, len(vals)):
+        fac, prev = 2.0**m, table[-1]
+        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
+    return table
 
 
 def _sliced_block_form(t: float, k: float, y: np.ndarray, nslices: int):
@@ -176,10 +185,16 @@ def time_sliced_propagator(
     not settle.)
 
     The query must be planar (y3 unset); the third axis is exactly free and
-    carries no information about the variant choice.
+    carries no information about the variant choice. A slice count over the
+    working-set budget (about 5 KB per slice) is refused before any allocation.
     """
     if not isinstance(slices, (int, np.integer)) or slices < 2:
         raise ValidationError(f"slices must be an integer >= 2, got {slices!r}")
+    if slices * _SLICE_BYTES > _SLICED_MEMORY_BUDGET:
+        raise ValidationError(
+            f"{slices} slices need about {slices * _SLICE_BYTES / 2**20:.0f} MiB, over the "
+            f"{_SLICED_MEMORY_BUDGET / 2**20:.0f} MiB budget of the sliced oracle"
+        )
     if not (np.isfinite(eps0) and eps0 > 0):
         raise ValidationError(f"eps0 must be positive, got {eps0}")
     q.validate()
@@ -210,11 +225,7 @@ def time_sliced_propagator(
         if level == len(vals):
             batch = np.arange(level, min(level + _LEVEL_BATCH, max_levels))
             vals.extend(values_at(eps0 * 2.0 ** (-batch)))
-        table = vals[: level + 1]
-        for m in range(1, level + 1):
-            fac = 2.0**m
-            table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
-        head = table[0]
+        head = _richardson(vals[: level + 1])[-1][0]
         if prev_head is not None and abs(head - prev_head) <= tol * max(1.0, abs(head)):
             return head
         prev_head = head
@@ -258,15 +269,28 @@ def pde_residual(
 
     g0 = g(t, a, b)
     dg_t = (g(t + h_t, a, b) - g(t - h_t, a, b)) / (2.0 * h_t)
-    lap = (
-        g(t, a + h_y, b) + g(t, a - h_y, b) + g(t, a, b + h_y) + g(t, a, b - h_y) - 4.0 * g0
-    ) / (h_y * h_y)
-    d1 = (g(t, a + h_y, b) - g(t, a - h_y, b)) / (2.0 * h_y)
-    d2 = (g(t, a, b + h_y) - g(t, a, b - h_y)) / (2.0 * h_y)
+    g1p, g1m, g2p, g2m = g(t, a + h_y, b), g(t, a - h_y, b), g(t, a, b + h_y), g(t, a, b - h_y)
+    lap = (g1p + g1m + g2p + g2m - 4.0 * g0) / (h_y * h_y)
+    d1 = (g1p - g1m) / (2.0 * h_y)
+    d2 = (g2p - g2m) / (2.0 * h_y)
     hg = -0.5 * lap + 1j * k * (-b * d1 + a * d2) + 0.5 * k * k * (a * a + b * b) * g0
     lhs = 1j * dg_t
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(hg)), 1e-300)
     return float((np.abs(lhs - hg) / scale).max())
+
+
+def _short_time_integral(variant: KernelVariant, k: float, t: float, sigma: float,
+                         amplitude: float) -> complex:
+    """The candidate kernel, pref exp(i alpha |y|^2), integrated over the plane
+    against amplitude exp(-beta |y|^2): with u = |y|^2 the angular integral
+    gives pi du, and exp((i alpha - beta) u) over [0, inf) gives 1 / (beta -
+    i alpha)."""
+    pref = _k_over_sin(k, t) / (2j * np.pi)
+    if variant.prefactor_form == "kt_over":
+        pref = pref * t
+    alpha = (0.5 if variant.phase_sign == "plus" else -0.5) * _k_over_tan(k, t)
+    beta = 1.0 / (2.0 * sigma * sigma)
+    return complex(pref * np.pi * amplitude / (beta - 1j * alpha))
 
 
 def short_time_check(
@@ -275,9 +299,9 @@ def short_time_check(
     """Defect of the t -> 0+ delta property against a Gaussian bump.
 
     Integrates the candidate kernel against phi(y) = amplitude *
-    exp(-|y|^2 / (2 sigma^2)) (radially, so the angular integral is exact
-    and only a damped 1-d quadrature remains), evaluates at t in
-    {1e-2, 5e-3, 2.5e-3}, and extrapolates quadratically to t = 0. Returns
+    exp(-|y|^2 / (2 sigma^2)) exactly (``_short_time_integral``) at the five
+    times t = 1e-2 2^-j, j = 0..4, and extrapolates to t = 0 with the
+    degree-4 polynomial through them; the integral is analytic in t. Returns
     |limit - phi(0)|. The true kernel reproduces phi(0); a wrong prefactor
     or phase sign leaves an O(1) defect. phi identically zero gives 0.
     """
@@ -293,44 +317,28 @@ def short_time_check(
                 f"short-time probe at t = {tt} meets a caustic; |k| = {abs(k)} is too large"
             )
 
-    beta = 1.0 / (2.0 * sigma * sigma)
-    sign = 1.0 if variant.phase_sign == "plus" else -1.0
-
-    def ivalue(t: float, refine: float = 1.0) -> complex:
-        pref = _k_over_sin(k, t) / (2j * np.pi)
-        if variant.prefactor_form == "kt_over":
-            pref = pref * t
-        alpha = sign * 0.5 * _k_over_tan(k, t)
-        u_max = 2.0 * sigma * sigma * 45.0
-        du = min(0.02 / max(abs(alpha), 1.0), u_max / 8000.0) / refine
-        u = np.arange(0.0, u_max, du)
-        integrand = np.exp((1j * alpha - beta) * u)
-        return complex(pref * np.pi * amplitude * np.trapezoid(integrand, u))
-
-    def limit(refine: float) -> complex:
-        ts = np.asarray(_SHORT_TIME_TS)
-        vals = np.array([ivalue(t, refine) for t in ts])
-        coef = np.linalg.solve(np.vander(ts, 3), vals)
-        return complex(coef[-1])
-
-    # The quadrature is O(du^2); the step-halving comparison guards against
-    # gross failure, far below the 0.05 adjudication threshold.
-    lim = limit(1.0)
-    lim_fine = limit(2.0)
-    if abs(lim - lim_fine) > 1e-3 * max(1.0, abs(lim)):
-        raise ConvergenceError(
-            f"short-time quadrature did not converge (coarse {lim}, fine {lim_fine})"
-        )
-    return abs(lim_fine - amplitude)
+    ts = np.asarray(_SHORT_TIME_TS)
+    vals = [_short_time_integral(variant, k, t, sigma, amplitude) for t in ts]
+    # in units of the largest time, so the Vandermonde matrix stays O(1)
+    coef = np.linalg.solve(np.vander(ts / ts[0], len(ts)), vals)
+    return abs(complex(coef[-1]) - amplitude)
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of the adjudication tournament at one probe query."""
+    """Outcome of the adjudication tournament at one probe query.
+
+    ``n_table`` holds the Richardson columns in N over the sliced values at
+    ``slice_counts``; ``extrapolated_value``, its last entry, is what the
+    slicing gate compares each variant with.
+    """
 
     query: CPQuery
     slicing_value: complex
     convergence: Tuple[Tuple[int, float], ...]
+    slice_counts: Tuple[int, ...]
+    n_table: Tuple[Tuple[complex, ...], ...]
+    extrapolated_value: complex
     pde_residuals: Dict[str, Tuple[float, float, float]]
     short_time_defect: Dict[str, float]
     selected: KernelVariant
@@ -349,37 +357,33 @@ def adjudicate(
 
     Deterministic: fixed probe query, fixed steps, no sampling. Raises
     AdjudicationError (with the full score table in the message) unless
-    exactly one variant passes every test. At k = 0 the variants are not
-    all distinguishable at a single probe (the prefactors coincide at t = 1
-    and the phase signs coincide at y = 0), so the verdict is taken by
+    exactly one variant passes every test. The slicing gate uses the sliced
+    integral at N = slices/4, slices/2, slices extrapolated in N (raw at a
+    count 4 does not divide, or below 8). At k = 0 the variants are not all
+    distinguishable at a single probe (the prefactors coincide at t = 1 and
+    the phase signs coincide at y = 0), so the verdict is taken by
     continuity from k != 0 and flagged in the notes.
     """
     query = CPQuery(t=t, k=k, y1=y1, y2=y2).validate()
     if k == 0:
         value = complex(kernel_value(ADJUDICATED_VARIANT, t, k, y1, y2))
-        return OracleReport(
-            query=query,
-            slicing_value=value,
-            convergence=(),
-            pde_residuals={},
-            short_time_defect={},
-            selected=ADJUDICATED_VARIANT,
-            confidence_notes=(
-                "k = 0 is degenerate for adjudication: prefactor variants coincide "
-                "up to the factor t and phase signs coincide at y = 0; selected by "
-                "continuity from k != 0",
-            ),
-        )
+        note = ("k = 0 is degenerate for adjudication: prefactor variants coincide up to the "
+                "factor t and phase signs coincide at y = 0; selected by continuity from k != 0")
+        # every table and score empty
+        return OracleReport(query, value, (), (), (), value, {}, {}, ADJUDICATED_VARIANT, (note,))
 
-    sliced = time_sliced_propagator(query, slices, eps0=eps0)
+    counts = (slices // 4, slices // 2, slices) if slices % 4 == 0 and slices >= 8 else (slices,)
+    # largest first, so the requested count is validated before any solve
+    sliced = {nsl: time_sliced_propagator(query, nsl, eps0=eps0)
+              for nsl in sorted({*counts, 64, 128, 256}, reverse=True)}
+    n_table = _richardson([sliced[nsl] for nsl in counts])
+    extrapolated = n_table[-1][0]
     ref = complex(kernel_value(ADJUDICATED_VARIANT, t, k, y1, y2))
-    convergence = []
-    for nsl in (64, 128, 256):
-        val = sliced if nsl == slices else time_sliced_propagator(query, nsl, eps0=eps0)
-        convergence.append((nsl, abs(val - ref) / abs(ref)))
+    convergence = [(nsl, abs(sliced[nsl] - ref) / abs(ref)) for nsl in (64, 128, 256)]
 
     pde_scores: Dict[str, Tuple[float, float, float]] = {}
     st_scores: Dict[str, float] = {}
+    sl_scores: Dict[str, float] = {}
     passing = []
     for variant in VARIANTS:
         r_h = pde_residual(variant, t, k, y1, y2, 1e-3, 1e-3)
@@ -389,38 +393,32 @@ def adjudicate(
         defect = short_time_check(variant, k)
         st_scores[variant.label()] = defect
         closed = complex(kernel_value(variant, t, k, y1, y2))
-        slicing_rel = abs(sliced - closed) / abs(closed)
-        if (
-            order >= _PDE_ORDER_MIN
-            and r_h2 < _PDE_RESID_MAX
-            and defect <= _SHORT_TIME_MAX
-            and slicing_rel <= _SLICING_REL_MAX
-        ):
+        slicing_rel = sl_scores[variant.label()] = abs(extrapolated - closed) / abs(closed)
+        if (order >= _PDE_ORDER_MIN and r_h2 < _PDE_RESID_MAX
+                and defect <= _SHORT_TIME_MAX and slicing_rel <= _SLICING_REL_MAX):
             passing.append(variant)
 
     if len(passing) != 1:
-        lines = [
+        scores = "; ".join(
             f"{lab}: pde=({v[0]:.2e}, {v[1]:.2e}, order {v[2]:.2f}), "
-            f"short-time={st_scores[lab]:.2e}"
-            for lab, v in pde_scores.items()
-        ]
-        raise AdjudicationError(
-            f"expected exactly one surviving variant, got "
-            f"{[v.label() for v in passing]}; scores: " + "; ".join(lines)
-        )
+            f"short-time={st_scores[lab]:.2e}, slicing={sl_scores[lab]:.2e}"
+            for lab, v in pde_scores.items())
+        raise AdjudicationError(f"expected exactly one surviving variant, got "
+                                f"{[v.label() for v in passing]}; scores: {scores}")
 
     notes = (
-        f"pde orders: "
-        + ", ".join(f"{lab} {v[2]:.2f}" for lab, v in pde_scores.items()),
-        f"short-time defects: "
-        + ", ".join(f"{lab} {d:.2e}" for lab, d in st_scores.items()),
-        f"sliced integral within {convergence[-1][1]:.2e} of the winner at "
-        f"{slices} slices",
+        "pde orders: " + ", ".join(f"{lab} {v[2]:.2f}" for lab, v in pde_scores.items()),
+        "short-time defects: " + ", ".join(f"{lab} {d:.2e}" for lab, d in st_scores.items()),
+        f"sliced integral within {convergence[-1][1]:.2e} of the winner at 256 slices, "
+        f"{abs(extrapolated - ref) / abs(ref):.2e} extrapolated from N = {counts}",
     )
     return OracleReport(
         query=query,
-        slicing_value=sliced,
+        slicing_value=sliced[slices],
         convergence=tuple(convergence),
+        slice_counts=counts,
+        n_table=tuple(tuple(col) for col in n_table),
+        extrapolated_value=extrapolated,
         pde_residuals=pde_scores,
         short_time_defect=st_scores,
         selected=passing[0],

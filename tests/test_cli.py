@@ -212,6 +212,37 @@ class TestOracleCommand:
             "k_over/plus", "k_over/minus", "kt_over/plus", "kt_over/minus"
         }
 
+    def test_reports_the_n_table(self, capsys):
+        code, data, _ = run_json(capsys, ["oracle"])
+        assert code == 0
+        meta = data["meta"]
+        assert meta["slice_counts"] == [64, 128, 256]
+        assert [len(col) for col in meta["n_table"]] == [3, 2, 1]
+        assert meta["n_table"][0][-1] == data["result"]["slicing_value"]
+        assert meta["n_table"][-1][0] == meta["extrapolated_value"]
+
+    @pytest.mark.parametrize("t", ["3", "4"])
+    def test_large_kt_is_certified(self, capsys, t):
+        # the raw 256-slice value misses the 1% gate here; the N-extrapolated
+        # one does not
+        code = cli.run(["oracle", "--t", t, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        data = json.loads(captured.out, parse_constant=reject)
+        assert data["result"]["selected"] == "k_over/plus"
+        assert data["meta"]["convergence"][-1][1] > 1e-2
+
+    def test_over_budget_slices_exit_two(self, capsys):
+        code = cli.run(["oracle", "--slices", str(10**12)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "budget" in captured.err
+
 
 class TestSweepCommand:
     def test_rows_and_ordering(self, capsys):

@@ -9,7 +9,7 @@ import pytest
 import magprop as mp
 from magprop import oracle
 from magprop.errors import AdjudicationError, ConvergenceError, ValidationError
-from magprop.oracle import _sliced_block_form, _sliced_elimination
+from magprop.oracle import _richardson, _sliced_block_form, _sliced_elimination
 
 
 # -- test-only reference: the dense form and its eigendecomposition --------
@@ -102,6 +102,31 @@ def _block_form_dense(t, k, y, nslices):
             full[np.ix_(pos[j + 1], pos[j])] = sub[j]
             full[np.ix_(pos[j], pos[j + 1])] = sub[j].T
     return full[:dim, :dim], vec[:dim], c0
+
+
+def _trapezoid_short_time_integral(variant, k, t, sigma=0.35, amplitude=1.0):
+    """The short-time integral by the trapezoid rule in u = |y|^2 on [0, 90
+    sigma^2] (the dropped tail is e^-45 of the value), with step
+    min(0.02 / max(|alpha|, 1), u_max / 8000) / 8: O(du^2) error below 1e-6."""
+    pref = (k / math.sin(k * t)) / (2j * np.pi)
+    if variant.prefactor_form == "kt_over":
+        pref = pref * t
+    sign = 1.0 if variant.phase_sign == "plus" else -1.0
+    alpha = sign * 0.5 * k / math.tan(k * t)
+    beta = 1.0 / (2.0 * sigma * sigma)
+    u_max = 2.0 * sigma * sigma * 45.0
+    du = min(0.02 / max(abs(alpha), 1.0), u_max / 8000.0) / 8.0
+    u = np.arange(0.0, u_max, du)
+    return complex(pref * np.pi * amplitude * np.trapezoid(np.exp((1j * alpha - beta) * u), u))
+
+
+def _inline_richardson_head(vals):
+    """The Richardson head, each column overwriting the one before."""
+    table = list(vals)
+    for m in range(1, len(vals)):
+        fac = 2.0**m
+        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
+    return table[0]
 
 
 # (t, k): k = 0, k < 0, and kt in {0.5, 1.55, 2.5, 6}
@@ -203,6 +228,27 @@ class TestTimeSlicing:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_richardson_helper_repeats_the_inline_arithmetic(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 12):
+            vals = [complex(a, b) for a, b in rng.standard_normal((n, 2))]
+            table = _richardson(vals)
+            assert [len(col) for col in table] == list(range(n, 0, -1))
+            assert table[0] == vals
+            assert table[-1][0] == _inline_richardson_head(vals)
+
+    def test_over_budget_slice_counts_fail_before_allocating(self):
+        q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"1000000000000 slices.*MiB budget"):
+                mp.time_sliced_propagator(q, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+        assert oracle._SLICE_BYTES * 4096 < oracle._SLICED_MEMORY_BUDGET
+
     def test_4096_slices_follow_the_first_order_law(self):
         # dense, this form would take 2 GB; the 1/N law predicts about 6e-5
         q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
@@ -258,6 +304,25 @@ class TestShortTime:
         defect = mp.short_time_check(mp.ADJUDICATED_VARIANT, 1.0)
         assert defect < 1e-3
 
+    @pytest.mark.parametrize("k", [1.0, 0.5, -2.0, 3.0, 1e-6])
+    @pytest.mark.parametrize("variant", mp.VARIANTS, ids=lambda v: v.label())
+    def test_exact_integral_matches_the_trapezoid(self, variant, k):
+        for t in (1e-2, 5e-3, 2.5e-3):
+            got = oracle._short_time_integral(variant, k, t, 0.35, 1.0)
+            want = _trapezoid_short_time_integral(variant, k, t)
+            assert abs(got - want) <= 1e-6 * abs(want)
+
+    def test_probe_times_halve_from_the_caustic_guard_time(self):
+        assert oracle._SHORT_TIME_TS == (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, -2.0, 3.0])
+    def test_degree_four_limit_is_sharp(self, k):
+        # the degree-4 fit through t <= 1e-2 leaves an O(t^5) error
+        assert mp.short_time_check(mp.ADJUDICATED_VARIANT, k) < 1e-8
+        for variant in mp.VARIANTS:
+            if variant != mp.ADJUDICATED_VARIANT:
+                assert 0.5 < mp.short_time_check(variant, k) < 2.5
+
     def test_wrong_prefactor_misses_by_order_one(self):
         defect = mp.short_time_check(mp.KernelVariant("kt_over", "plus"), 1.0)
         assert defect > 0.5
@@ -281,6 +346,14 @@ class TestShortTime:
             mp.short_time_check(mp.ADJUDICATED_VARIANT, np.inf)
         with pytest.raises(ValidationError, match="too large"):
             mp.short_time_check(mp.ADJUDICATED_VARIANT, np.pi / 2 / 1e-2)
+
+
+# (t, k) with kt in {0.45, 0.7, 2, 2.5, 3, 4, 5}: k < 0, and past the
+# caustics at pi/2 and 3 pi/2
+_EXTRAPOLATION_QUERIES = [
+    (0.45, 1.0), (0.7, 1.0), (0.7, -1.0), (2.0, 1.0), (1.0, -2.5),
+    (3.0, 1.0), (4.0, 1.0), (5.0, 1.0), (2.5, -2.0),
+]
 
 
 class TestAdjudication:
@@ -310,3 +383,30 @@ class TestAdjudication:
         # two slices are far too coarse for the 1% slicing gate
         with pytest.raises(AdjudicationError, match="scores"):
             mp.adjudicate(slices=2)
+
+    def test_report_carries_the_n_table(self):
+        report = mp.adjudicate()
+        assert report.slice_counts == (64, 128, 256)
+        assert [len(col) for col in report.n_table] == [3, 2, 1]
+        q = report.query
+        assert report.n_table[0] == tuple(
+            mp.time_sliced_propagator(q, nsl) for nsl in (64, 128, 256)
+        )
+        assert report.n_table[0][-1] == report.slicing_value
+        assert report.extrapolated_value == report.n_table[-1][0]
+        assert "extrapolated" in report.confidence_notes[2]
+
+    def test_slice_counts_halve_from_the_requested_count(self):
+        assert mp.adjudicate(slices=512).slice_counts == (128, 256, 512)
+        with pytest.raises(AdjudicationError):
+            mp.adjudicate(slices=6)  # too coarse to extrapolate, raw value fails
+
+    @pytest.mark.parametrize("t,k", _EXTRAPOLATION_QUERIES)
+    def test_extrapolated_value_certifies_the_closed_form(self, t, k):
+        # at kt = 3, 4 and (1, -2.5) the raw 256-slice value misses the gate
+        report = mp.adjudicate(t=t, k=k)
+        want = mp.propagator(report.query)
+        rel = abs(report.extrapolated_value - want) / abs(want)
+        assert rel <= (1e-7 if abs(k * t) <= 1.0 else 1e-3)
+        assert report.selected == mp.ADJUDICATED_VARIANT
+

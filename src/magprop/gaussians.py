@@ -104,26 +104,102 @@ def _as_value(x) -> complex:
     return complex(x.value) if isinstance(x, TTValue) else complex(x)
 
 
-def _application(op, grid: GridSpec, d: int) -> Optional[np.ndarray]:
-    """Dense (d n) x (d n) application matrix for op, or None when zero."""
+def _blocks(op, grid: GridSpec, d: int) -> BlockOperator:
+    """op as a BlockOperator over d block rows and columns: a BlockOperator
+    as it is (d = 4), an OperatorMatrix as the single block (0, 0) (d = 1).
+    A zero operator, None included, has no blocks."""
     if op is None:
-        return None
+        return BlockOperator(grid, {})
     if isinstance(op, OperatorMatrix):
         if d != 1:
             raise ValidationError("one-component operator applied to a 4-component function")
         if op.grid != grid:
             raise ValidationError("operator grid does not match the function grid")
         app = op.application
-        return app if np.any(app) else None
+        return BlockOperator(grid, {(0, 0): app} if np.any(app) else {})
     if isinstance(op, BlockOperator):
         if d != 4:
             raise ValidationError("block operator applied to a 1-component function")
         if op.grid != grid:
             raise ValidationError("operator grid does not match the function grid")
-        if not op.blocks:
-            return None
-        return op.dense()
+        return op
     raise ValidationError(f"unsupported operator type {type(op).__name__}")
+
+
+def _application(op, grid: GridSpec, d: int) -> Optional[np.ndarray]:
+    """Dense (d n) x (d n) application matrix for op, or None when zero."""
+    blocks = _blocks(op, grid, d)
+    return blocks.superblock(range(d), range(d)) if blocks.blocks else None
+
+
+def _identity(grid: GridSpec, d: int) -> BlockOperator:
+    return BlockOperator(grid, {(i, i): 1.0 for i in range(d)})
+
+
+def _block_groups(d: int, *ops: BlockOperator) -> list:
+    """Strongly connected groups of the block pattern of Id plus ops.
+
+    Block (i, j) links block row i to block column j. The groups come in an
+    order in which every block of every op has its row's group at or before
+    its column's group, so Id + the ops, their sums, products and inverses
+    are all block upper triangular in that order. The pattern is read from
+    the block keys alone; no entry is tested for zero.
+    """
+    reach = np.eye(d, dtype=bool)
+    for op in ops:
+        for i, j in op.blocks:
+            reach[i, j] = True
+    for m in range(d):  # Warshall's transitive closure
+        reach |= np.outer(reach[:, m], reach[m])
+    groups = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(d)}
+    # A group that reaches another one also reaches strictly more blocks.
+    return [list(g) for g in sorted(groups, key=lambda g: (-int(reach[g[0]].sum()), g))]
+
+
+def _group_spectrum(a: BlockOperator, b: BlockOperator, groups: list) -> np.ndarray:
+    """All d n eigenvalues of A^-1 B, with multiplicity.
+
+    A and B are block upper triangular in the group order, so the spectrum
+    is the union over groups g of the spectra of A_gg^-1 B_gg. A block
+    column of g where B_gg has no block is a zero column of A_gg^-1 B_gg and
+    adds n exact zero eigenvalues; with S the other columns, the rest is the
+    spectrum of the S rows of A_gg^-1 B_gS.
+    """
+    n = b.grid.n
+    parts = []
+    for g in groups:
+        s = [j for j in g if any((i, j) in b.blocks for i in g)]
+        if not s:
+            continue
+        try:
+            cols = np.linalg.solve(a.superblock(g, g), b.superblock(g, s))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError("Id+K is singular at this grid") from exc
+        rows = np.concatenate([np.arange(n) + n * g.index(j) for j in s])
+        parts.append(np.linalg.eigvals(cols[rows]))
+    dim = n * sum(len(g) for g in groups)
+    mu = np.concatenate(parts) if parts else np.empty(0, dtype=complex)
+    return np.concatenate([mu, np.zeros(dim - mu.size)])
+
+
+def _group_solve(nmat: BlockOperator, groups: list, rhs: np.ndarray) -> np.ndarray:
+    """N^-1 rhs for rhs of shape (d n, m), N block upper triangular in the
+    group order: back-substitution over the groups, one dense solve with
+    each diagonal group block. LinAlgError when one of them is singular."""
+    n, m = nmat.grid.n, rhs.shape[1]
+    b = rhs.reshape(-1, n, m)
+    x = np.zeros(b.shape, dtype=complex)
+    solved = []
+    for g in reversed(groups):
+        r = b[g].astype(complex)
+        for a, i in enumerate(g):
+            for j in solved:
+                blk = nmat.blocks.get((i, j))
+                if blk is not None:
+                    r[a] -= blk * x[j] if np.isscalar(blk) else blk @ x[j]
+        x[g] = np.linalg.solve(nmat.superblock(g, g), r.reshape(-1, m)).reshape(r.shape)
+        solved.extend(g)
+    return x.reshape(rhs.shape)
 
 
 def _check_symmetric(app: np.ndarray, what: str):
@@ -151,21 +227,22 @@ def tt_gauss_kernel(K, f: GridFunction) -> TTValue:
     trace-class perturbations this is used with).
     """
     grid, d = f.grid, f.d
-    app = _application(K, grid, d)
+    kop = _blocks(K, grid, d)
     note = "per-eigenvalue principal square roots, tracked from K=0"
-    if app is None:
+    if not kop.blocks:
         val = complex(np.exp(-0.5 * pair(f, f)))
         return TTValue(val, det_NK=1.0 + 0j, branch_note=note)
-    _check_symmetric(app, "Gauss-kernel operator")
-    lam = np.linalg.eigvals(app)
+    _check_symmetric(kop.superblock(range(d), range(d)), "Gauss-kernel operator")
+    groups = _block_groups(d, kop)
+    ident = _identity(grid, d)
+    lam = _group_spectrum(ident, kop, groups)
     factors = 1.0 + lam
     if np.abs(factors).min() <= 1e-14 * (1.0 + np.abs(lam).max()):
         raise SingularOperatorError("Id+K is singular at this grid")
     det = complex(np.prod(factors))
     pref = np.exp(_half_log_product(factors))
-    ident = np.eye(app.shape[0])
     try:
-        x = np.linalg.solve(ident + app, f.flat())
+        x = _group_solve(ident + kop, groups, f.flat()[:, None])[:, 0]
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError("Id+K is singular at this grid") from exc
     val = complex(pref * np.exp(-0.5 * _pair_flat(grid, f.flat(), x)))
@@ -211,8 +288,8 @@ def tt_nexp_product(K, L, f: GridFunction) -> TTValue:
     """Product formula det(Id+L(Id+K)^-1)^(-1/2) exp(-1/2 <f,(Id+K+L)^-1 f>).
 
     With L = 0 this is the normalized exponential (determinant divided out).
-    The determinant comes from the dense spectrum of (Id+K)^-1 L, which has
-    the same nonzero spectrum as L(Id+K)^-1. This is the no-pin case of the
+    The determinant comes from the spectrum of (Id+K)^-1 L, which has the
+    same nonzero spectrum as L(Id+K)^-1. This is the no-pin case of the
     pinned engine :func:`tt_pinned_gauss`, and evaluates through it.
     """
     return tt_pinned_gauss(PinnedGaussSpec(K=K, L=L), f)
@@ -270,46 +347,46 @@ def tt_pinned_gauss(spec: PinnedGaussSpec, f: GridFunction) -> TTValue:
     (eta_i, N^-1 eta_j), mu_j its eigenvalues, and
     u_k = i y_k + 1/2 (eta_k, N^-1 F) + 1/2 (N^-1 eta_k, F). The symmetrized
     u is used because N^-1 need not be symmetric under the pairing.
+
+    The block pattern of Id+K+L orders its strongly connected block groups
+    so that Id+K, L and N are block upper triangular. The determinant's
+    eigenvalues are then those of the diagonal group blocks of (Id+K)^-1 L,
+    and N is solved by back-substitution over the groups; the residual is
+    checked against the full dense N.
     """
     grid, d = f.grid, f.d
     F = (f + spec.g) if spec.g is not None else f
     etas = _validate_pins(spec.pins, grid, d)
     J = len(etas)
 
-    kapp = _application(spec.K, grid, d)
-    lapp = _application(spec.L, grid, d)
-    dim = d * grid.n
-    ident = np.eye(dim)
-    ik = ident if kapp is None else ident + kapp
+    kop = _blocks(spec.K, grid, d)
+    lop = _blocks(spec.L, grid, d)
+    ik = _identity(grid, d) + kop
+    nmat = ik + lop
+    groups = _block_groups(d, kop, lop)
 
     anchor = spec.branch_anchor if spec.branch_anchor is not None else grid.t_end / 1000.0
     note = f"per-eigenvalue principal square roots; continuity anchor t0={anchor:.6g}"
 
-    if lapp is None:
+    if not lop.blocks:
         det_nk = 1.0 + 0j
         pref_nk = 1.0 + 0j
     else:
-        try:
-            core = np.linalg.solve(ik, lapp)
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError("Id+K is singular at this grid") from exc
-        mu_core = np.linalg.eigvals(core)
-        factors = 1.0 + mu_core
+        factors = 1.0 + _group_spectrum(ik, lop, groups)
         if np.abs(factors).min() <= _DET_VANISH_TOL:
             raise CausticError("vanishing determinant det(Id+L(Id+K)^-1)")
         det_nk = complex(np.prod(factors))
         pref_nk = np.exp(_half_log_product(factors))
 
-    nmat = ik if lapp is None else ik + lapp
-    rhs = np.empty((dim, J + 1), dtype=complex)
+    rhs = np.empty((d * grid.n, J + 1), dtype=complex)
     rhs[:, 0] = F.flat()
     for j, (eta, _) in enumerate(etas):
         rhs[:, j + 1] = eta.flat()
     try:
-        sol = np.linalg.solve(nmat, rhs)
+        sol = _group_solve(nmat, groups, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError("Id+K+L is singular at this grid") from exc
-    resid = np.abs(nmat @ sol - rhs).max(axis=0)
+    resid = np.abs(nmat.superblock(range(d), range(d)) @ sol - rhs).max(axis=0)
     if np.any(resid > 1e-8 * (1.0 + np.abs(rhs).max(axis=0))):
         raise SingularOperatorError("Id+K+L is numerically singular at this grid")
     xF = sol[:, 0]

@@ -457,7 +457,8 @@ def block_invert(op: BlockOperator) -> BlockOperator:
 
         [[M1, P], [0, M2]]^-1 = [[M1^-1, -M1^-1 P M2^-1], [0, M2^-1]]
 
-    which halves the dense work. Condition estimates below RCOND_MIN raise
+    which halves the dense work, and M1 is inverted once when M2 equals it
+    entry for entry. Condition estimates below RCOND_MIN raise
     IllConditionedError naming the operator's (t, k) context when available.
     """
     n = op.grid.n
@@ -478,7 +479,7 @@ def block_invert(op: BlockOperator) -> BlockOperator:
         m2 = op.superblock((2, 3), (2, 3))
         p = op.superblock((0, 1), (2, 3))
         m1i = _checked_inverse(m1, ctx)
-        m2i = _checked_inverse(m2, ctx)
+        m2i = m1i if np.array_equal(m1, m2) else _checked_inverse(m2, ctx)
         split(m1i, 0, 0, blocks)
         split(m2i, 2, 2, blocks)
         if np.any(p):

@@ -194,9 +194,6 @@ def build_cp_operators(grid: GridSpec, k: float) -> CPOperators:
     L carries the magnetic/potential couplings through A, B, B*. Component
     order is (x1-type, p1-type, x2-type, p2-type).
     """
-    a_op = discretize("A", grid)
-    b_op = discretize("B", grid)
-    bs_op = discretize("Bstar", grid)
     meta = {"t": grid.t_end, "k": k}
     kmat = block_assemble(
         grid,
@@ -208,7 +205,18 @@ def build_cp_operators(grid: GridSpec, k: float) -> CPOperators:
         ],
         meta={**meta, "label": "K"},
     )
-    lmat = block_assemble(
+    lmat = _cp_l(grid, k)
+    nmat = block_identity(grid) + kmat + lmat
+    nmat = BlockOperator(grid, nmat.blocks, meta={**meta, "label": "N"})
+    return CPOperators(grid, kmat, lmat, nmat)
+
+
+def _cp_l(grid: GridSpec, k: float) -> BlockOperator:
+    """The L of :func:`build_cp_operators`."""
+    a_op = discretize("A", grid)
+    b_op = discretize("B", grid)
+    bs_op = discretize("Bstar", grid)
+    return block_assemble(
         grid,
         [
             [(1j * k * k, a_op), None, None, (-2j * k, bs_op)],
@@ -216,11 +224,8 @@ def build_cp_operators(grid: GridSpec, k: float) -> CPOperators:
             [None, None, (1j * k * k, a_op), None],
             [None, None, None, None],
         ],
-        meta={**meta, "label": "L"},
+        meta={"t": grid.t_end, "k": k, "label": "L"},
     )
-    nmat = block_identity(grid) + kmat + lmat
-    nmat = BlockOperator(grid, nmat.blocks, meta={**meta, "label": "N"})
-    return CPOperators(grid, kmat, lmat, nmat)
 
 
 def _id_plus_k_inverse(grid: GridSpec) -> BlockOperator:
@@ -588,9 +593,10 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
         return complex(body * tail)
     if method == "dense":
         grid = GridSpec(t, order)
-        ops = build_cp_operators(grid, k)
-        target = block_identity(grid) + ops.L.compose(_id_plus_k_inverse(grid))
-        sign, logabs = np.linalg.slogdet(target.dense())
+        target = block_identity(grid) + _cp_l(grid, k).compose(_id_plus_k_inverse(grid))
+        dense = target.dense()
+        del target  # only the assembled matrix is held through the LU
+        sign, logabs = np.linalg.slogdet(dense)
         return complex(sign * np.exp(logabs))
     raise ValidationError(f"method must be 'product' or 'dense', got {method!r}")
 

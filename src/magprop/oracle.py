@@ -157,6 +157,18 @@ def _sliced_elimination(diag, sub, b, eps):
     return aug[..., idx, idx], aug[..., 4]
 
 
+def _check_slicing(slices, eps0: float):
+    if not isinstance(slices, (int, np.integer)) or slices < 2:
+        raise ValidationError(f"slices must be an integer >= 2, got {slices!r}")
+    if slices * _SLICE_BYTES > _SLICED_MEMORY_BUDGET:
+        raise ValidationError(
+            f"{slices} slices need about {slices * _SLICE_BYTES / 2**20:.0f} MiB, over the "
+            f"{_SLICED_MEMORY_BUDGET / 2**20:.0f} MiB budget of the sliced oracle"
+        )
+    if not (np.isfinite(eps0) and eps0 > 0):
+        raise ValidationError(f"eps0 must be positive, got {eps0}")
+
+
 def time_sliced_propagator(
     q: CPQuery, slices: int, eps0: float = 1e-4, tol: float = 1e-12, max_levels: int = 40
 ) -> complex:
@@ -188,15 +200,7 @@ def time_sliced_propagator(
     carries no information about the variant choice. A slice count over the
     working-set budget (about 5 KB per slice) is refused before any allocation.
     """
-    if not isinstance(slices, (int, np.integer)) or slices < 2:
-        raise ValidationError(f"slices must be an integer >= 2, got {slices!r}")
-    if slices * _SLICE_BYTES > _SLICED_MEMORY_BUDGET:
-        raise ValidationError(
-            f"{slices} slices need about {slices * _SLICE_BYTES / 2**20:.0f} MiB, over the "
-            f"{_SLICED_MEMORY_BUDGET / 2**20:.0f} MiB budget of the sliced oracle"
-        )
-    if not (np.isfinite(eps0) and eps0 > 0):
-        raise ValidationError(f"eps0 must be positive, got {eps0}")
+    _check_slicing(slices, eps0)
     q.validate()
     if q.y3 is not None:
         raise ValidationError("the sliced oracle is planar; leave y3 unset")
@@ -365,6 +369,7 @@ def adjudicate(
     continuity from k != 0 and flagged in the notes.
     """
     query = CPQuery(t=t, k=k, y1=y1, y2=y2).validate()
+    _check_slicing(slices, eps0)
     if k == 0:
         value = complex(kernel_value(ADJUDICATED_VARIANT, t, k, y1, y2))
         note = ("k = 0 is degenerate for adjudication: prefactor variants coincide up to the "
@@ -373,7 +378,6 @@ def adjudicate(
         return OracleReport(query, value, (), (), (), value, {}, {}, ADJUDICATED_VARIANT, (note,))
 
     counts = (slices // 4, slices // 2, slices) if slices % 4 == 0 and slices >= 8 else (slices,)
-    # largest first, so the requested count is validated before any solve
     sliced = {nsl: time_sliced_propagator(query, nsl, eps0=eps0)
               for nsl in sorted({*counts, 64, 128, 256}, reverse=True)}
     n_table = _richardson([sliced[nsl] for nsl in counts])

@@ -1,8 +1,9 @@
 """The aggregation of tools/bench_pairs.py on canned benchmark output; no
-benchmark process is started."""
+benchmark process is started (the timing test runs a stand-in script)."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,8 +47,12 @@ def test_parse_run_rejects_empty_output():
         bench_pairs.parse_run("\n")
 
 
+def _run(ops_per_s, p50_ms, wall_s=40.0):
+    return {**bench_pairs.parse_run(canned(ops_per_s, p50_ms)), "wall_s": wall_s}
+
+
 def _pairs(parent_ops, change_ops, parent_p50, change_p50):
-    return [(bench_pairs.parse_run(canned(po, pl)), bench_pairs.parse_run(canned(co, cl)))
+    return [(_run(po, pl), _run(co, cl))
             for po, co, pl, cl in zip(parent_ops, change_ops, parent_p50, change_p50)]
 
 
@@ -68,7 +73,28 @@ def test_aggregate_medians_quartiles_and_wins():
     assert p50["change_wins"] == 0 and p50["parent_wins"] == 0  # ties count for neither
     assert not p50["gain_shown"] and p50["within_bound"]
     assert out["parent"] == {"attempted": 400, "failed": 0, "correct": True,
-                             "known_defects": {"some_op": "no longer reproduces"}}
+                             "known_defects": {"some_op": "no longer reproduces"},
+                             "wall_s": {"values": [40.0] * 5, "median": 40.0, "max": 40.0}}
+
+
+def test_aggregate_reports_each_sides_whole_run_wall_time():
+    pairs = [(_run(20.0, 9.0, wall_s=pw), _run(50.0, 9.0, wall_s=cw))
+             for pw, cw in ((81.0, 40.0), (79.0, 44.0), (95.0, 41.0))]
+    out = bench_pairs.aggregate(pairs, SPEC)
+    assert out["parent"]["wall_s"] == {"values": [81.0, 79.0, 95.0], "median": 81.0,
+                                       "max": 95.0}
+    assert out["change"]["wall_s"] == {"values": [40.0, 44.0, 41.0], "median": 41.0,
+                                       "max": 44.0}
+
+
+def test_run_tree_times_the_whole_process(tmp_path):
+    script = tmp_path / "fake_bench.py"
+    script.write_text("import sys, time\n"
+                      "time.sleep(0.2)\n"
+                      f"sys.stdout.write({canned(30.0, 8.0)!r})\n")
+    run = bench_pairs.run_tree(tmp_path, [sys.executable, str(script)], "slicing", 1, 18.0)
+    assert run["result"]["metrics"]["ops_per_s"]["value"] == 30.0
+    assert 0.2 <= run["wall_s"] < 30.0
 
 
 def test_aggregate_shows_a_gain_and_a_lower_is_better_regression():

@@ -243,6 +243,16 @@ class TestOracleCommand:
         assert captured.out == ""
         assert "budget" in captured.err
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize("bad", [["--slices", "1"], ["--eps0", "-5"]])
+    def test_invalid_slicing_arguments_exit_two_at_every_k(self, capsys, k, bad):
+        # k = 0 takes no sliced value, but validates its arguments all the same
+        code = cli.run(["oracle", "--k", k, *bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_rows_and_ordering(self, capsys):

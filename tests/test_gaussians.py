@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,8 @@ from magprop.errors import (
     SingularOperatorError,
     ValidationError,
 )
-from magprop.grid import OperatorMatrix
+from magprop.gaussians import _block_groups
+from magprop.grid import BlockOperator, OperatorMatrix
 
 
 def rank_one_quarter(grid):
@@ -270,6 +273,169 @@ class TestPinnedGauss:
             for i in range(len(vals) - 1)
         ]
         assert max(jumps) < 0.5
+
+
+def dense_matrix(op, dim):
+    if op is None:
+        return np.zeros((dim, dim))
+    return op.application if isinstance(op, OperatorMatrix) else op.dense()
+
+
+def dense_pinned_gauss(spec, f):
+    """The pinned formula by the engine's former dense route, kept as the
+    reference: every eigenvalue of the dense (Id+K)^-1 L, one dense solve
+    with N. Returns (value, det_NK, smallest |factor|).
+
+    Factor imaginary parts at rounding level are set to zero before the
+    principal logs. Past the first caustic a pair of equal charged-particle
+    factors lies on the negative real axis, where the principal branch
+    follows the sign of that rounding; the engine rounds the two alike, the
+    dense spectrum need not (at n = 32, kt = 2 it gives +1/|cos kt|).
+    """
+    grid, dim = f.grid, f.values.size
+    F = f + spec.g if spec.g is not None else f
+    ik = np.eye(dim) + dense_matrix(spec.K, dim)
+    lapp = dense_matrix(spec.L, dim)
+    factors = 1.0 + np.linalg.eigvals(np.linalg.solve(ik, lapp))
+    factors = np.where(np.abs(factors.imag) <= 1e-13 * np.abs(factors), factors.real + 0j, factors)
+    etas = [eta.flat() for eta, _ in spec.pins]
+    sol = np.linalg.solve(ik + lapp, np.stack([F.flat(), *etas], axis=1))
+    h = grid.weight
+    log_value = -0.5 * np.sum(np.log(factors)) - 0.5 * h * F.flat() @ sol[:, 0]
+    if etas:
+        E = np.stack(etas, axis=1)
+        m = h * E.T @ sol[:, 1:]
+        m = 0.5 * (m + m.T)
+        u = 1j * np.array([y for _, y in spec.pins])
+        u = u + 0.5 * h * (E.T @ sol[:, 0] + sol[:, 1:].T @ F.flat())
+        log_value += (-0.5 * np.sum(np.log(2 * np.pi * np.linalg.eigvals(m)))
+                      + 0.5 * u @ np.linalg.solve(m, u))
+    return complex(np.exp(log_value)), complex(np.prod(factors)), float(np.abs(factors).min())
+
+
+def assert_matches_dense(spec, f):
+    got = mp.tt_pinned_gauss(spec, f)
+    value, det, fmin = dense_pinned_gauss(spec, f)
+    # Both routes round each factor 1 + mu at the ulp level, and the relative
+    # error of the product is that over the smallest factor (about 1e-3 at
+    # |cos kt| = 1e-3): the bound is 1e-12 while every factor is >= 0.03.
+    tol = 1e-12 * max(1.0, 0.03 / fmin)
+    assert abs(got.det_NK - det) <= tol * abs(det)
+    assert abs(got.value - value) <= tol * abs(value)
+
+
+def random_block(rng, n, scale):
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+
+
+def random_blocks(rng, grid, keys, scale=0.1):
+    """BlockOperator with a random dense block at each key (a random scalar
+    block at every third one)."""
+    blocks = {}
+    for idx, key in enumerate(keys):
+        if idx % 3 == 2:
+            blocks[key] = complex(scale * rng.standard_normal(), scale * rng.standard_normal())
+        else:
+            blocks[key] = random_block(rng, grid.n, scale)
+    return BlockOperator(grid, blocks)
+
+
+FULL = [(i, j) for i in range(4) for j in range(4)]
+LOWER = [(i, j) for i in range(4) for j in range(i + 1)]
+# K couples {0, 1} and {2, 3}; L has blocks in group {0, 1} and across the
+# groups, none inside group {2, 3}.
+PAIRED_K = [(0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (3, 3)]
+PAIRED_L = [(1, 1), (0, 2), (1, 3), (0, 3)]
+
+
+class TestBlockGroupRoute:
+    """tt_pinned_gauss against its former dense route, and the block groups."""
+
+    @staticmethod
+    def cp_inputs(t, k, n):
+        g = mp.make_grid(t, n)
+        ops = mp.build_cp_operators(g, k)
+        rng = np.random.default_rng(n)
+        f = mp.GridFunction(g, 0.3 * (rng.standard_normal((4, n))
+                                      + 1j * rng.standard_normal((4, n))))
+        shift = mp.GridFunction(g, 0.2 * rng.standard_normal((4, n)))
+        ones, zeros = np.ones(n), np.zeros(n)
+        pins = ((mp.GridFunction.stack(g, [ones, zeros, zeros, zeros]), 0.3),
+                (mp.GridFunction.stack(g, [zeros, zeros, 2 * ones, zeros]), -0.4))
+        return ops, f, shift, pins
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("t, k", [
+        (1.0, 0.0), (1.0, 1e-6), (1.0, -2.0), (1.0, 1.3),
+        (1.0, math.acos(1e-3)),  # |cos kt| = 1e-3
+        (0.8, 3.0),  # kt = 2.4, between pi/2 and 3 pi/2
+    ])
+    def test_charged_particle(self, n, t, k):
+        ops, f, shift, pins = self.cp_inputs(t, k, n)
+        assert_matches_dense(mp.PinnedGaussSpec(K=ops.K, L=ops.L), f)
+        assert_matches_dense(mp.PinnedGaussSpec(K=ops.K, L=ops.L, g=shift, pins=pins), f)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    def test_one_component_operators(self, n):
+        g = mp.make_grid(1.0, n)
+        rng = np.random.default_rng(n)
+        k_op = OperatorMatrix(g, random_block(rng, n, 0.3) / g.weight)
+        l_op = OperatorMatrix(g, random_block(rng, n, 0.3) / g.weight)
+        f = mp.GridFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        shift = mp.GridFunction(g, 0.2 * rng.standard_normal(n))
+        eta = mp.GridFunction(g, np.ones(n))
+        assert_matches_dense(mp.PinnedGaussSpec(K=k_op, L=l_op), f)
+        assert_matches_dense(mp.PinnedGaussSpec(K=k_op, L=l_op, g=shift, pins=((eta, 0.7),)), f)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("k_keys, l_keys, groups", [
+        (FULL, FULL, [[0, 1, 2, 3]]),
+        (LOWER, LOWER, [[3], [2], [1], [0]]),
+        (PAIRED_K, PAIRED_L, [[0, 1], [2, 3]]),
+    ], ids=["full", "lower", "no_l_in_one_group"])
+    def test_random_block_operators(self, n, k_keys, l_keys, groups):
+        g = mp.make_grid(1.0, n)
+        rng = np.random.default_rng(n)
+        k_op, l_op = random_blocks(rng, g, k_keys), random_blocks(rng, g, l_keys)
+        assert _block_groups(4, k_op, l_op) == groups
+        f = mp.GridFunction(g, rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        shift = mp.GridFunction(g, 0.2 * rng.standard_normal((4, n)))
+        ones, zeros = np.ones(n), np.zeros(n)
+        pins = ((mp.GridFunction.stack(g, [ones, zeros, zeros, zeros]), 0.3),
+                (mp.GridFunction.stack(g, [zeros, ones, zeros, zeros]), -0.2))
+        assert_matches_dense(mp.PinnedGaussSpec(K=k_op, L=l_op), f)
+        assert_matches_dense(mp.PinnedGaussSpec(K=k_op, L=l_op, g=shift, pins=pins), f)
+
+    def test_charged_particle_groups(self, cp_unit):
+        assert _block_groups(4, cp_unit.K, cp_unit.L) == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("kt", [2.0, -2.0, 4.0, 5.0])
+    def test_sign_past_the_first_caustic(self, kt):
+        # det(Id+L(Id+K)^-1)^(-1/2) continues as 1/cos(kt): each pair of
+        # negative factors contributes one sign flip. The quadrature error
+        # is below 5e-3 here; a wrong sign would be off by 2.
+        n, t = 64, 1.0
+        ops, _, _, _ = self.cp_inputs(t, kt / t, n)
+        v = mp.tt_nexp_product(ops.K, ops.L, mp.GridFunction.zero(ops.grid, d=4))
+        assert abs(v.value * math.cos(kt) - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_gauss_kernel_on_block_operators(self, n):
+        g = mp.make_grid(1.0, n)
+        rng = np.random.default_rng(n)
+        k_op = random_blocks(rng, g, PAIRED_K + [(0, 3)])
+        k_op = BlockOperator(g, {**k_op.blocks, (3, 0): k_op.block(0, 3).T})
+        sym = BlockOperator(g, {(j, i): (blk if np.isscalar(blk) else blk.T)
+                                for (i, j), blk in k_op.blocks.items()})
+        k_op = BlockOperator(g, (k_op + sym).blocks)
+        f = mp.GridFunction(g, rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        app = k_op.dense()
+        lam = np.linalg.eigvals(app)
+        x = np.linalg.solve(np.eye(4 * n) + app, f.flat())
+        want = np.exp(-0.5 * np.sum(np.log(1 + lam)) - 0.5 * g.weight * f.flat() @ x)
+        got = mp.tt_gauss_kernel(k_op, f)
+        assert abs(got.value - want) <= 1e-12 * abs(want)
+        assert abs(got.det_NK - np.prod(1 + lam)) <= 1e-12 * abs(np.prod(1 + lam))
 
 
 class TestUFuncProbe:

@@ -224,6 +224,18 @@ def test_block_invert_identity_residual():
     assert np.abs(prod - np.eye(4 * g.n)).max() < 1e-10
 
 
+def test_block_invert_equal_diagonal_superblocks_bit_for_bit():
+    # the two diagonal superblocks of N are equal, and are inverted once; the
+    # result has the bits of inverting each of them
+    op = mp.build_cp_operators(mp.make_grid(0.7, 48), 1.3).N
+    m1, m2 = op.superblock((0, 1), (0, 1)), op.superblock((2, 3), (2, 3))
+    p = op.superblock((0, 1), (2, 3))
+    assert np.array_equal(m1, m2)
+    m1i, m2i = np.linalg.inv(m1), np.linalg.inv(m2)
+    want = np.block([[m1i, -(m1i @ p @ m2i)], [np.zeros_like(p), m2i]])
+    assert np.array_equal(mp.block_invert(op).dense(), want)
+
+
 def test_block_invert_nontriangular_matches_dense():
     g = mp.make_grid(1.0, 10)
     rng = np.random.default_rng(11)

@@ -354,6 +354,14 @@ class TestDeterminant:
         d = mp.det_idlk(1.0, 1.0, "dense", 256)
         assert d == pytest.approx(np.cos(1.0) ** 2, abs=1e-5)
 
+    @pytest.mark.parametrize("t, k", [(1.0, 1.0), (0.7, -2.5)])
+    def test_dense_route_is_the_literal_slogdet(self, t, k):
+        g = mp.make_grid(t, 48)
+        target = mp.block_identity(g) + mp.build_cp_operators(g, k).L.compose(
+            _id_plus_k_inverse(g))
+        sign, logabs = np.linalg.slogdet(target.dense())
+        assert mp.det_idlk(t, k, "dense", 48) == complex(sign * np.exp(logabs))
+
     def test_k_zero(self):
         assert mp.det_idlk(1.0, 0.0, "product", 100) == 1.0
         assert mp.det_idlk(1.0, 0.0, "dense", 32) == pytest.approx(1.0, abs=1e-12)

@@ -13,11 +13,14 @@ alternating which side runs first. Both the command and the metric rules
 come from the ``BENCHMARK.json`` of the change tree.
 
 From every run it keeps the last stdout line (the result JSON), the
-``machine`` line and the ``known defect`` lines. The output file, written
-to the current directory, holds per workload and per end-to-end metric
-each side's values, median and quartiles, the pairs each side won, the
-median gap against the parent's interquartile range, and whether the
-change's median stays within the bound ``BENCHMARK.json`` fixes for it.
+``machine`` line and the ``known defect`` lines, and times the whole
+process: set-up, the timed loop, the post-run checks and the defect probe.
+The output file, written to the current directory, holds per workload and
+per end-to-end metric each side's values, median and quartiles, the pairs
+each side won, the median gap against the parent's interquartile range,
+and whether the change's median stays within the bound ``BENCHMARK.json``
+fixes for it; and per side the median and the largest whole-run wall time,
+which shows how close a workload comes to a timeout on its runs.
 
 A gain counts as shown (``gain_shown``) when the change wins at least nine
 tenths of the pairs, ties counting for neither side, and the medians differ
@@ -31,6 +34,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 KNOWN_DEFECT_PREFIX = "known defect "
@@ -62,8 +66,8 @@ def _summary(values: list) -> dict:
 
 def aggregate(pairs: list, spec: dict) -> dict:
     """Per-metric comparison over (parent_run, change_run) pairs of parsed
-    runs; ``spec`` maps metric name to {"better": "higher"|"lower",
-    "bound": relative bound or None}."""
+    runs, each with its whole-run ``wall_s``; ``spec`` maps metric name to
+    {"better": "higher"|"lower", "bound": relative bound or None}."""
     metrics = {}
     for name, rule in spec.items():
         sides = {side: [run["result"]["metrics"][name]["value"] for run in col]
@@ -92,11 +96,13 @@ def aggregate(pairs: list, spec: dict) -> dict:
         metrics[name] = entry
     out = {"pairs": len(pairs), "metrics": metrics}
     for side, col in zip(SIDES, zip(*pairs)):
+        walls = [run["wall_s"] for run in col]
         out[side] = {
             "attempted": sum(run["result"]["attempted"] for run in col),
             "failed": sum(run["result"]["failed"] for run in col),
             "correct": all(run["result"]["correct"] for run in col),
             "known_defects": col[-1]["known_defects"],
+            "wall_s": {"values": walls, "median": statistics.median(walls), "max": max(walls)},
         }
     return out
 
@@ -119,13 +125,16 @@ def revision(tree: Path) -> dict:
 
 
 def run_tree(tree: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+    """One parsed benchmark run in ``tree``, with the process's wall time."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}")
-    return parse_run(proc.stdout)
+    return {**parse_run(proc.stdout), "wall_s": wall}
 
 
 def main(argv=None) -> int:
@@ -157,7 +166,7 @@ def main(argv=None) -> int:
             report["machine"] = report["machine"] or runs["change"]["machine"]
             print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{side} ops_per_s {runs[side]['result']['metrics']['ops_per_s']['value']:.2f}"
-                for side in SIDES), flush=True)
+                f" in {runs[side]['wall_s']:.1f} s" for side in SIDES), flush=True)
         report["workloads"][workload] = aggregate(pairs, spec)
 
     path = Path(f"BENCH_{args.label}.json")

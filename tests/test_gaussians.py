@@ -421,13 +421,13 @@ class TestBlockGroupRoute:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_gauss_kernel_on_block_operators(self, n):
+        # symmetric K with groups {0, 1}, {2} (no block) and {3}
         g = mp.make_grid(1.0, n)
         rng = np.random.default_rng(n)
-        k_op = random_blocks(rng, g, PAIRED_K + [(0, 3)])
-        k_op = BlockOperator(g, {**k_op.blocks, (3, 0): k_op.block(0, 3).T})
-        sym = BlockOperator(g, {(j, i): (blk if np.isscalar(blk) else blk.T)
-                                for (i, j), blk in k_op.blocks.items()})
-        k_op = BlockOperator(g, (k_op + sym).blocks)
+        half = random_blocks(rng, g, [(0, 0), (0, 1), (3, 3)])
+        k_op = half + BlockOperator(g, {(j, i): blk if np.isscalar(blk) else blk.T
+                                        for (i, j), blk in half.blocks.items()})
+        assert _block_groups(4, k_op) == [[0, 1], [2], [3]]
         f = mp.GridFunction(g, rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
         app = k_op.dense()
         lam = np.linalg.eigvals(app)

@@ -564,6 +564,27 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=tuple(reps), closed_form=closed, multiplicities=tuple(mults))
 
 
+# B_2, B_4, ..., B_10: the Bernoulli numbers of the asymptotic series of psi_1
+_TRIGAMMA_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
+
+
+def _trigamma(x: float) -> float:
+    """psi_1(x) for x > 0: the recurrence psi_1(x) = psi_1(x + 1) + 1/x^2 up
+    to z = x + m >= 20, then psi_1(z) ~ 1/z + 1/(2 z^2) + sum_j B_2j /
+    z^(2j+1) through B_10 (the next term is below 1e-16 relative at z = 20);
+    the recurrence terms are added smallest first."""
+    shift = max(0, math.ceil(20.0 - x))
+    z = x + shift
+    w = 1.0 / (z * z)
+    series = 0.0
+    for b in reversed(_TRIGAMMA_BERNOULLI):
+        series = (series + b) * w
+    value = (1.0 + (0.5 / z + series)) / z
+    for n in range(shift - 1, -1, -1):
+        value += 1.0 / ((x + n) * (x + n))
+    return value
+
+
 def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     """Determinant of Id + L(Id+K)^-1; the closed target is cos^2(kt).
 
@@ -581,15 +602,13 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if method == "product":
-        from scipy.special import polygamma
-
         m = np.arange(1, order + 1, dtype=float)
         kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
         v = 1.0 - kt2 / ((m - 0.5) * math.pi) ** 2
         if np.any(v == 0.0):
             return 0.0 + 0j
         body = np.exp(2.0 * np.sum(np.log(np.abs(v))))
-        tail = math.exp(-2.0 * kt2 / math.pi**2 * float(polygamma(1, order + 0.5)))
+        tail = math.exp(-2.0 * kt2 / math.pi**2 * _trigamma(order + 0.5))
         return complex(body * tail)
     if method == "dense":
         grid = GridSpec(t, order)

@@ -51,18 +51,19 @@ _SHORT_TIME_MAX = 0.05
 _SLICING_REL_MAX = 1e-2
 
 _SHORT_TIME_TS = tuple(1e-2 * 2.0**-j for j in range(5))
+# Lagrange weights of the interpolating polynomial through _SHORT_TIME_TS,
+# evaluated at t = 0
+_SHORT_TIME_WEIGHTS = tuple(
+    math.prod(tj / (tj - ti) for tj in _SHORT_TIME_TS if tj != ti) for ti in _SHORT_TIME_TS
+)
 
 _SERIES_CUT = 1e-4  # below this |kt| the trig ratios take their Taylor forms
-# Regularization levels per elimination sweep. One sweep of 8 is enough up
-# to N = 1024 at kt < pi/2 and costs about twice a sweep of 1 (N = 256).
+# Regularization levels per sweep of the channel recurrence, which runs
+# them side by side. One sweep of 8 is enough up to N = 1024 at kt < pi/2.
 _LEVEL_BATCH = 8
-# Working set per slice of one sweep: [A_jj | b_j] and the eps I - i Q
-# temporary at every level, plus the real block form.
-_SLICE_BYTES = _LEVEL_BATCH * 4 * (5 + 4) * 16 + (16 + 16 + 4) * 8
+# Working set per slice of one sweep: rho_j and its log1p at every level.
+_SLICE_BYTES = _LEVEL_BATCH * 2 * 16
 _SLICED_MEMORY_BUDGET = 1 << 30
-
-_I2 = np.eye(2)
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # quarter turn
 
 
 def _k_over_sin(k: float, t: float) -> float:
@@ -91,70 +92,39 @@ def _richardson(vals: list) -> list:
     return table
 
 
-def _sliced_block_form(t: float, k: float, y: np.ndarray, nslices: int):
-    """Quadratic form of the broken-path integrand, block tridiagonal.
+def _channel_rhos(dt: float, k: float, count: int, eps: np.ndarray) -> np.ndarray:
+    """rho_j = tau_j - 1, j = 1..count, of one rotation channel, shape
+    (count, levels), one column per level in eps.
 
-    Integration variables z = (p_1, x_1, ..., p_{N-1}, x_{N-1}, p_N), each
-    slot a point in the plane, with x_0 = 0 and x_N = y held fixed. The
-    midpoint-rule action gives i S(z) = i (z^T Shat z + b^T z + c0) with
-
-      sum_j [ p_j.(x_j - x_{j-1}) - dt/2 |p_j|^2
-              + dt k/2 (x_{j-1}+x_j)^T J p_j - dt k^2/8 |x_{j-1}+x_j|^2 ]
-
-    where J is the quarter-turn matrix and dt = t/N. Q = Shat + Shat^T
-    couples only neighbouring slots and x_{j-1} to x_j, so grouping the
-    slots by block j = 0..N-1 as (p_{j+1}, x_j), momentum first, makes it
-    block tridiagonal with 4x4 blocks. x_0 is not a variable: its two
-    entries pad block 0 and stay zero.
-
-    Returns (diag, sub, b, c0): diag[j] is Q on block j, sub[j] is
-    Q[block j+1, block j], and b[j] holds the linear term on block j. Each
-    entry is summed as Shat + Shat^T would sum it, term by term.
+    tau_1 = A and tau_j = A - B / tau_{j-1}, carried as rho_j = (A - 2) +
+    (rho_{j-1} - (B - 1)) / (1 + rho_{j-1}) with A - 2 and B - 1 in closed
+    form; A = 2 + eps^2 + i eps dt (1 + k^2/2) and B = (1 - i eps dt k^2/4)^2
+    + (k dt)^2 (see ``time_sliced_propagator``).
     """
-    dt = t / nslices
-    half = dt * k / 2.0
-    xx = -(dt * k * k / 8.0)
-    diag = np.zeros((nslices, 4, 4))
-    sub = np.zeros((nslices - 1, 4, 4))
-    diag[:, :2, :2] = 2.0 * -(dt / 2.0) * _I2  # p_{j+1} p_{j+1}
-    diag[1:, :2, 2:] = -_I2 + half * _J.T  # p_{j+1} x_j
-    diag[1:, 2:, :2] = -_I2 + half * _J  # x_j p_{j+1}
-    diag[1:, 2:, 2:] = 4.0 * xx * _I2  # x_j x_j: slices j and j+1
-    sub[:, 2:, :2] = _I2 + half * _J  # x_{j+1} p_{j+1}
-    sub[1:, 2:, 2:] = -(dt * k * k / 4.0) * _I2  # x_{j+1} x_j
-    b = np.zeros((nslices, 4))
-    b[-1, :2] = y + half * (_J.T @ y)  # p_N
-    b[-1, 2:] = -(dt * k * k / 4.0) * y  # x_{N-1}
-    c0 = xx * float(y @ y)
-    return diag, sub, b, c0
+    a2 = eps * eps + 1j * (eps * dt * (1.0 + 0.5 * k * k))
+    g = eps * dt * k * k / 4.0
+    b1 = (k * dt) * (k * dt) - g * g - 2j * g
+    rho = np.empty((count, len(eps)), dtype=complex)
+    r = rho[0] = 1.0 + a2
+    for j in range(1, count):
+        r = rho[j] = a2 + (r - b1) / (1.0 + r)
+    return rho
 
 
-def _sliced_elimination(diag, sub, b, eps):
-    """LDL^T of A = eps I - i Q without pivoting, one per level in eps.
-
-    Block recursion D_j = A_jj - A_{j,j-1} D_{j-1}^-1 A_{j-1,j} with the
-    right-hand side carried along, then a scalar elimination inside each
-    final block. Returns (pivots, w), both of shape (N, levels, 4) in block
-    order (p_{j+1} then x_j): the scalar pivots d_i and w = L^-1 b, so that
-    log det A = sum log d_i and b^T A^-1 b = sum w_i^2 / d_i. O(N) time and
-    memory per level.
-    """
-    aug = np.empty((len(diag), len(eps), 4, 5), dtype=complex)  # [A_jj | b_j]
-    aug[..., :4] = eps[:, None, None] * np.eye(4) - 1j * diag[:, None]
-    aug[..., 4] = b[:, None, :]
-    aug[0, :, 2:, 2:4] = _I2  # the x_0 padding: decoupled, pivots exactly 1
-    low = -1j * sub
-    rhs = np.empty((len(eps), 4, 5), dtype=complex)
-    for j in range(1, len(aug)):
-        rhs[..., :4] = low[j - 1].T
-        rhs[..., 4] = aug[j - 1, :, :, 4]
-        aug[j] -= low[j - 1] @ np.linalg.solve(aug[j - 1, :, :, :4], rhs)
-    for c in range(4):
-        aug[..., c + 1 :, c + 1 :] -= (
-            aug[..., c + 1 :, c, None] / aug[..., c, c, None, None] * aug[..., None, c, c + 1 :]
-        )
-    idx = np.arange(4)
-    return aug[..., idx, idx], aug[..., 4]
+def _sliced_exponent(t: float, k: float, yy: float, slices: int, eps: np.ndarray):
+    """log det A and b^T A^-1 b at each level in eps, for |y|^2 = yy (see
+    ``time_sliced_propagator``)."""
+    dt = t / slices
+    h, g = dt * k / 2.0, dt * k * k / 4.0
+    d = eps + 1j * dt  # every momentum pivot
+    rho = _channel_rhos(dt, k, slices - 1, eps)
+    # the logs are O(1/j); summed exactly, their rounding noise stays far
+    # below the stagnation test
+    logs = np.log1p(rho).T
+    sums = np.array([complex(math.fsum(lv.real), math.fsum(lv.imag)) for lv in logs])
+    r = rho[-1]
+    quad = yy * ((1.0 + h * h) * (r - h * h) / d + 2j * g * (1.0 - h * h) + g * g * d) / (1.0 + r)
+    return 2.0 * (np.log(d) + sums), quad
 
 
 def _check_slicing(slices, eps0: float):
@@ -174,54 +144,84 @@ def time_sliced_propagator(
 ) -> complex:
     """Broken-path phase-space integral with N = ``slices`` time steps.
 
-    The oscillatory Gaussian over z is regularized by a damping parameter
-    eps > 0: the integral is (2 pi)^-1 det(A)^(-1/2) exp(-b^T A^-1 b / 2 +
-    i c0) with A = eps I - i Q, absolutely convergent because the Hermitian
-    part of A is eps I. The eps -> 0+ limit is taken by Richardson
-    extrapolation over eps_j = eps0 2^{-j} until the extrapolant stagnates
-    below ``tol``; several levels share one elimination sweep.
+    The integration variables are z = (p_1, x_1, ..., p_{N-1}, x_{N-1},
+    p_N), each a point in the plane, with x_0 = 0 and x_N = y held fixed.
+    With dt = t/N and J the quarter turn, the midpoint-rule action is
+    z^T Shat z + b^T z + c0 =
 
-    det(A) and b^T A^-1 b come from a block LDL^T elimination of the block
-    tridiagonal A without pivoting, in O(N) time and memory per level.
-    Branch of det^(-1/2): every Schur complement of A keeps Hermitian part
-    eps I, so every pivot has positive real part, and det^(-1/2) is the
-    product of the principal roots of the pivots. Along A(s) = eps I - i s Q,
-    s from 0 to 1, the pivots and the eigenvalues eps - i s d_m of A all
-    stay in the right half plane, so the sum of the principal logs of the
-    pivots and that of the eigenvalues both move continuously, differ by a
-    multiple of 2 pi i, and agree at s = 0: the branches are the same.
-    Momentum p_{j+1} is eliminated before x_j, so as eps -> 0 the position
-    pivots tend to those of the configuration-space form, which vanish only
-    at discrete conjugate points. (In plain slot order the first position
-    pivot tends to zero when k t / N = 2, and the extrapolation then does
-    not settle.)
+      sum_j [ p_j.(x_j - x_{j-1}) - dt/2 |p_j|^2
+              + dt k/2 (x_{j-1}+x_j)^T J p_j - dt k^2/8 |x_{j-1}+x_j|^2 ],
+
+    and Q = Shat + Shat^T. The oscillatory Gaussian over z is regularized
+    by a damping parameter eps > 0: the integral is (2 pi)^-1 det(A)^(-1/2)
+    exp(-b^T A^-1 b / 2 + i c0) with A = eps I - i Q, absolutely convergent
+    because the Hermitian part of A is eps I. The eps -> 0+ limit is taken
+    by Richardson extrapolation over eps_j = eps0 2^{-j} until the
+    extrapolant stagnates below ``tol``; several levels share one sweep of
+    the recurrence below.
+
+    Rotation channels. Every 2x2 plane block of A has the form a I + b J,
+    and on each slot the unitary similarity with columns (1, +-i)/sqrt(2)
+    turns it into a +- i b. A splits exactly into two scalar channels; the
+    minus channel is the transpose of the plus channel and its linear terms
+    are those of the plus channel swapped, so the two share their
+    determinant and their quadratic term. In one channel every momentum
+    couples only to the neighbouring positions. Eliminating p_{j+1} before
+    x_j, each momentum pivot is d = eps + i dt, and tau_j = d sigma_j, with
+    sigma_j the pivot of x_j, obeys the three-term (Gel'fand-Yaglom)
+    recurrence
+
+      tau_1 = A,  tau_j = A - B / tau_{j-1},
+      A = 2 + eps^2 + i eps dt (1 + k^2/2),  B = (1 - i eps dt k^2/4)^2 + (k dt)^2,
+
+    so that log det A = 2 [log d + sum_{j<N} log tau_j]. b lives only on
+    the last block (p_N, x_{N-1}), so b^T A^-1 b needs only that block's
+    2x2 Schur complement: with h = k dt/2 and g = k^2 dt/4,
+
+      b^T A^-1 b = |y|^2 [(1 + h^2)(tau_{N-1} - 1 - h^2)/d + 2 i g (1 - h^2) + g^2 d] / tau_{N-1}.
+
+    The recurrence carries rho_j = tau_j - 1, with A - 2 and B - 1 in
+    closed form, and the logs are log1p(rho_j) (``_channel_rhos``). A and B
+    differ from 2 and 1 by terms of size eps dt and (k dt)^2; formed as
+    floats they lose those digits, a perturbation the recurrence carries
+    over all N slices. Carried that way the values moved by up to 4e-12 at
+    N = 256 and 3e-10 at N = 1024, and the extrapolation needed up to 14
+    more levels to stagnate; in the rho form they stay within 1e-12 of a
+    4x4 block elimination. O(N) time and memory per level, with no matrix
+    and no linear solve.
+
+    Branch of det^(-1/2): each channel is a principal part of a unitary
+    similarity of A, so its Hermitian part is eps I, every Schur complement
+    keeps Hermitian part at least eps I, and every pivot (d and each
+    sigma_j) has positive real part. tau_j pairs the momentum pivot with
+    the position pivot after it, and a product of two numbers in the right
+    half plane has the sum of their principal logs as its principal log.
+    Along A(s) = eps I - i s Q, s from 0 to 1, the pivots and the
+    eigenvalues eps - i s d_m of A all stay in the right half plane, so the
+    sum of the principal logs of the pivots and that of the eigenvalues
+    both move continuously, differ by a multiple of 2 pi i, and agree at
+    s = 0: the branches are the same. Momentum first also keeps the
+    position pivots, as eps -> 0, at those of the configuration-space form,
+    which vanish only at discrete conjugate points. (In plain slot order
+    the first position pivot tends to zero when k t / N = 2, and the
+    extrapolation then does not settle.)
 
     The query must be planar (y3 unset); the third axis is exactly free and
     carries no information about the variant choice. A slice count over the
-    working-set budget (about 5 KB per slice) is refused before any allocation.
+    working-set budget (about 256 bytes per slice) is refused before any
+    allocation.
     """
     _check_slicing(slices, eps0)
     q.validate()
     if q.y3 is not None:
         raise ValidationError("the sliced oracle is planar; leave y3 unset")
 
-    y = np.array([q.y1, q.y2], dtype=float)
-    diag, sub, b, c0 = _sliced_block_form(q.t, q.k, y, slices)
+    yy = q.y1 * q.y1 + q.y2 * q.y2
+    c0 = -(q.t / slices * q.k * q.k / 8.0) * yy
 
     def values_at(eps: np.ndarray) -> list:
-        piv, w = _sliced_elimination(diag, sub, b, eps)
-        quad = np.sum(w * w / piv, axis=(0, 2))
-        # Each p pivot (about i t/N) times the x pivot after it (about
-        # N/(i t)) is O(1), and a product of two numbers in the right half
-        # plane has the sum of their principal logs as its principal log.
-        # The O(1) logs, summed exactly, keep the rounding noise of log det
-        # below the stagnation test; the 4N logs of size log N would not.
-        logs = np.log(piv[..., :2] * piv[..., 2:]).swapaxes(0, 1).reshape(len(eps), -1)
-        out = []
-        for lev in range(len(eps)):
-            logdet = complex(math.fsum(logs[lev].real), math.fsum(logs[lev].imag))
-            out.append(complex(np.exp(-0.5 * logdet - 0.5 * quad[lev] + 1j * c0) / (2.0 * np.pi)))
-        return out
+        logdet, quad = _sliced_exponent(q.t, q.k, yy, slices, eps)
+        return (np.exp(-0.5 * logdet - 0.5 * quad + 1j * c0) / (2.0 * np.pi)).tolist()
 
     vals: list = []
     prev_head: Optional[complex] = None
@@ -297,6 +297,14 @@ def _short_time_integral(variant: KernelVariant, k: float, t: float, sigma: floa
     return complex(pref * np.pi * amplitude / (beta - 1j * alpha))
 
 
+def _short_time_limit(variant: KernelVariant, k: float, sigma: float,
+                      amplitude: float) -> complex:
+    """The t = 0 value of the degree-4 polynomial through the exact
+    integrals at _SHORT_TIME_TS."""
+    return sum(w * _short_time_integral(variant, k, t, sigma, amplitude)
+               for w, t in zip(_SHORT_TIME_WEIGHTS, _SHORT_TIME_TS))
+
+
 def short_time_check(
     variant: KernelVariant, k: float, sigma: float = 0.35, amplitude: float = 1.0
 ) -> float:
@@ -305,7 +313,8 @@ def short_time_check(
     Integrates the candidate kernel against phi(y) = amplitude *
     exp(-|y|^2 / (2 sigma^2)) exactly (``_short_time_integral``) at the five
     times t = 1e-2 2^-j, j = 0..4, and extrapolates to t = 0 with the
-    degree-4 polynomial through them; the integral is analytic in t. Returns
+    degree-4 polynomial through them, whose value at 0 is a fixed weighted
+    sum of the five (Lagrange weights); the integral is analytic in t. Returns
     |limit - phi(0)|. The true kernel reproduces phi(0); a wrong prefactor
     or phase sign leaves an O(1) defect. phi identically zero gives 0.
     """
@@ -321,11 +330,7 @@ def short_time_check(
                 f"short-time probe at t = {tt} meets a caustic; |k| = {abs(k)} is too large"
             )
 
-    ts = np.asarray(_SHORT_TIME_TS)
-    vals = [_short_time_integral(variant, k, t, sigma, amplitude) for t in ts]
-    # in units of the largest time, so the Vandermonde matrix stays O(1)
-    coef = np.linalg.solve(np.vander(ts / ts[0], len(ts)), vals)
-    return abs(complex(coef[-1]) - amplitude)
+    return abs(_short_time_limit(variant, k, sigma, amplitude) - amplitude)
 
 
 @dataclass(frozen=True)

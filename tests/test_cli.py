@@ -402,3 +402,19 @@ def test_import_leaves_scipy_sparse_out():
         check=True,
     )
     assert proc.stdout.strip() == "[False, False, False]"
+
+
+def test_det_product_loads_no_scipy():
+    src = str(Path(mp.__file__).resolve().parents[1])
+    code = ("import sys, magprop.cli\n"
+            "code = magprop.cli.run(['det', '--t', '1.0', '--k', '1.0', '--method', 'product',"
+            " '--order', '10000'])\n"
+            "print(code, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules),"
+            " file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert proc.stderr.split() == ["0", "False"]
+    assert json.loads(proc.stdout)["query"]["command"] == "det"

@@ -16,6 +16,7 @@ from magprop.magnetic import (
     _n_inverse_apply,
     _resolvent_g,
     _tan_over_k,
+    _trigamma,
     kernel_value,
 )
 
@@ -361,6 +362,19 @@ class TestDeterminant:
             _id_plus_k_inverse(g))
         sign, logabs = np.linalg.slogdet(target.dense())
         assert mp.det_idlk(t, k, "dense", 48) == complex(sign * np.exp(logabs))
+
+    def test_trigamma_matches_scipy(self):
+        polygamma = pytest.importorskip("scipy.special").polygamma
+        for order in [*range(1, 300), 10**3, 10**4, 10**6, 10**9]:
+            want = float(polygamma(1, order + 0.5))
+            assert abs(_trigamma(order + 0.5) - want) <= 4 * np.spacing(want), order
+
+    def test_trigamma_matches_a_40_digit_value(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in (0.5, 1.5, 7.5, 19.5, 20.5, 1e3 + 0.5, 1e9 + 0.5):
+                want = float(mpmath.polygamma(1, x))
+                assert abs(_trigamma(x) - want) <= 2 * np.spacing(want), x
 
     def test_k_zero(self):
         assert mp.det_idlk(1.0, 0.0, "product", 100) == 1.0

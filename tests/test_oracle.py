@@ -9,10 +9,14 @@ import pytest
 import magprop as mp
 from magprop import oracle
 from magprop.errors import AdjudicationError, ConvergenceError, ValidationError
-from magprop.oracle import _richardson, _sliced_block_form, _sliced_elimination
+from magprop.oracle import _richardson
 
 
-# -- test-only reference: the dense form and its eigendecomposition --------
+# -- test-only references: the dense form and its eigendecomposition, and
+# -- the 4x4 block elimination the channel recurrence replaced -------------
+
+_I2 = np.eye(2)
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # quarter turn
 
 
 def _dense_sliced_form(t, k, y, nslices):
@@ -86,6 +90,99 @@ def _eigh_sliced_propagator(q, slices, eps0=1e-4, tol=1e-12, max_levels=40):
     raise ConvergenceError("reference extrapolation did not stagnate")
 
 
+def _sliced_block_form(t, k, y, nslices):
+    """Quadratic form of the broken-path integrand, block tridiagonal.
+
+    Grouping the slots by block j = 0..N-1 as (p_{j+1}, x_j), momentum
+    first, makes Q block tridiagonal with 4x4 blocks. x_0 is not a
+    variable: its two entries pad block 0 and stay zero.
+
+    Returns (diag, sub, b, c0): diag[j] is Q on block j, sub[j] is
+    Q[block j+1, block j], and b[j] holds the linear term on block j. Each
+    entry is summed as Shat + Shat^T would sum it, term by term.
+    """
+    dt = t / nslices
+    half = dt * k / 2.0
+    xx = -(dt * k * k / 8.0)
+    diag = np.zeros((nslices, 4, 4))
+    sub = np.zeros((nslices - 1, 4, 4))
+    diag[:, :2, :2] = 2.0 * -(dt / 2.0) * _I2  # p_{j+1} p_{j+1}
+    diag[1:, :2, 2:] = -_I2 + half * _J.T  # p_{j+1} x_j
+    diag[1:, 2:, :2] = -_I2 + half * _J  # x_j p_{j+1}
+    diag[1:, 2:, 2:] = 4.0 * xx * _I2  # x_j x_j: slices j and j+1
+    sub[:, 2:, :2] = _I2 + half * _J  # x_{j+1} p_{j+1}
+    sub[1:, 2:, 2:] = -(dt * k * k / 4.0) * _I2  # x_{j+1} x_j
+    b = np.zeros((nslices, 4))
+    b[-1, :2] = y + half * (_J.T @ y)  # p_N
+    b[-1, 2:] = -(dt * k * k / 4.0) * y  # x_{N-1}
+    c0 = xx * float(y @ y)
+    return diag, sub, b, c0
+
+
+def _sliced_elimination(diag, sub, b, eps):
+    """LDL^T of A = eps I - i Q without pivoting, one per level in eps.
+
+    Block recursion D_j = A_jj - A_{j,j-1} D_{j-1}^-1 A_{j-1,j} with the
+    right-hand side carried along, then a scalar elimination inside each
+    final block. Returns (pivots, w), both of shape (N, levels, 4) in block
+    order (p_{j+1} then x_j): the scalar pivots d_i and w = L^-1 b, so that
+    log det A = sum log d_i and b^T A^-1 b = sum w_i^2 / d_i.
+    """
+    aug = np.empty((len(diag), len(eps), 4, 5), dtype=complex)  # [A_jj | b_j]
+    aug[..., :4] = eps[:, None, None] * np.eye(4) - 1j * diag[:, None]
+    aug[..., 4] = b[:, None, :]
+    aug[0, :, 2:, 2:4] = _I2  # the x_0 padding: decoupled, pivots exactly 1
+    low = -1j * sub
+    rhs = np.empty((len(eps), 4, 5), dtype=complex)
+    for j in range(1, len(aug)):
+        rhs[..., :4] = low[j - 1].T
+        rhs[..., 4] = aug[j - 1, :, :, 4]
+        aug[j] -= low[j - 1] @ np.linalg.solve(aug[j - 1, :, :, :4], rhs)
+    for c in range(4):
+        aug[..., c + 1 :, c + 1 :] -= (
+            aug[..., c + 1 :, c, None] / aug[..., c, c, None, None] * aug[..., None, c, c + 1 :]
+        )
+    idx = np.arange(4)
+    return aug[..., idx, idx], aug[..., 4]
+
+
+def _block_values(t, k, y, nslices, eps):
+    """The sliced integral at each level in eps by the block elimination,
+    each p pivot paired with the x pivot after it before the logs."""
+    diag, sub, b, c0 = _sliced_block_form(t, k, y, nslices)
+    piv, w = _sliced_elimination(diag, sub, b, eps)
+    quad = np.sum(w * w / piv, axis=(0, 2))
+    logs = np.log(piv[..., :2] * piv[..., 2:]).swapaxes(0, 1).reshape(len(eps), -1)
+    out = []
+    for lev in range(len(eps)):
+        logdet = complex(math.fsum(logs[lev].real), math.fsum(logs[lev].imag))
+        out.append(complex(np.exp(-0.5 * logdet - 0.5 * quad[lev] + 1j * c0) / (2.0 * np.pi)))
+    return out
+
+
+def _channel_values(t, k, y, nslices, eps):
+    """The sliced integral at each level in eps by the channel recurrence."""
+    yy = float(y @ y)
+    logdet, quad = oracle._sliced_exponent(t, k, yy, nslices, eps)
+    c0 = -(t / nslices * k * k / 8.0) * yy
+    return (np.exp(-0.5 * logdet - 0.5 * quad + 1j * c0) / (2.0 * np.pi)).tolist()
+
+
+def _stop(values, t, k, y, nslices, eps0=1e-4, tol=1e-12, max_levels=40):
+    """(head, levels) of the stop rule of time_sliced_propagator over the
+    values one route gives, computed in sweeps of _LEVEL_BATCH levels."""
+    vals, prev = [], None
+    for level in range(max_levels):
+        if level == len(vals):
+            batch = np.arange(level, min(level + oracle._LEVEL_BATCH, max_levels))
+            vals.extend(values(t, k, y, nslices, eps0 * 2.0 ** (-batch)))
+        head = _richardson(vals[: level + 1])[-1][0]
+        if prev is not None and abs(head - prev) <= tol * max(1.0, abs(head)):
+            return head, level + 1
+        prev = head
+    raise ConvergenceError("no stagnation")
+
+
 def _block_form_dense(t, k, y, nslices):
     """The block tridiagonal form expanded to a dense matrix in slot order.
     Block j holds (p_{j+1}, x_j) at slot indices 4j, 4j+1, 4j-2, 4j-1; x_0
@@ -118,6 +215,15 @@ def _trapezoid_short_time_integral(variant, k, t, sigma=0.35, amplitude=1.0):
     du = min(0.02 / max(abs(alpha), 1.0), u_max / 8000.0) / 8.0
     u = np.arange(0.0, u_max, du)
     return complex(pref * np.pi * amplitude * np.trapezoid(np.exp((1j * alpha - beta) * u), u))
+
+
+def _vandermonde_short_time_limit(variant, k, sigma=0.35, amplitude=1.0):
+    """The t -> 0 value of the degree-4 polynomial through the five exact
+    short-time integrals, from a Vandermonde solve in units of the largest
+    time."""
+    ts = np.asarray(oracle._SHORT_TIME_TS)
+    vals = [oracle._short_time_integral(variant, k, t, sigma, amplitude) for t in ts]
+    return complex(np.linalg.solve(np.vander(ts / ts[0], len(ts)), vals)[-1])
 
 
 def _inline_richardson_head(vals):
@@ -249,11 +355,136 @@ class TestTimeSlicing:
         assert peak < 1e5
         assert oracle._SLICE_BYTES * 4096 < oracle._SLICED_MEMORY_BUDGET
 
+    def test_4096_slices_peak_at_the_per_slice_bound(self):
+        # one sweep holds rho and its log1p at every level, and nothing else
+        # of size N
+        q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
+        mp.time_sliced_propagator(q, 64)
+        tracemalloc.start()
+        try:
+            mp.time_sliced_propagator(q, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * oracle._SLICE_BYTES + 16_000
+
     def test_4096_slices_follow_the_first_order_law(self):
         # dense, this form would take 2 GB; the 1/N law predicts about 6e-5
         q = mp.CPQuery(t=0.7, k=1.0, y1=0.2, y2=0.1)
         want = mp.propagator(q)
         assert abs(mp.time_sliced_propagator(q, 4096) - want) / abs(want) < 1e-4
+
+
+# (t, k) with kt in {0, 7e-7, 0.77, 2.2, -1.61, -4.6, 4.2, 12}: past pi/2
+# and 3 pi/2 with both signs
+_CHANNEL_QUERIES = [(t, k) for k in (0.0, 1e-6, 1.1, -2.3, 6.0) for t in (0.7, 2.0)]
+
+
+def _plus_channel(t, k, nslices, eps):
+    """The assembled dense A = eps I - i Q in slot order, turned by the
+    unnormalized (1, +-i) columns on every slot: (plus block, minus block,
+    the two cross blocks) of U^H A U / 2, each channel in slot order."""
+    quad, _, _ = _dense_sliced_form(t, k, np.array([0.2, 0.1]), nslices)
+    amat = eps * np.eye(len(quad)) - 1j * quad
+    umat = np.kron(np.eye(len(quad) // 2), np.array([[1.0, 1.0], [1j, -1j]]))
+    turned = umat.conj().T @ amat @ umat / 2.0
+    plus, minus = np.arange(0, len(quad), 2), np.arange(1, len(quad), 2)
+    return (turned[np.ix_(plus, plus)], turned[np.ix_(minus, minus)],
+            turned[np.ix_(plus, minus)], turned[np.ix_(minus, plus)])
+
+
+class TestChannelRecurrence:
+    @pytest.mark.parametrize("nsl", [2, 3, 7, 8, 64, 256, 1024])
+    @pytest.mark.parametrize("t,k", _CHANNEL_QUERIES)
+    def test_levels_match_the_block_route(self, t, k, nsl):
+        y = np.array([0.2, 0.1])
+        eps = 1e-4 * 2.0 ** -np.arange(8)
+        got = _channel_values(t, k, y, nsl, eps)
+        want = _block_values(t, k, y, nsl, eps)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize("nsl", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("t,k", _REFERENCE_QUERIES)
+    def test_stops_in_the_same_sweep_as_the_block_route(self, t, k, nsl):
+        y = np.array([0.2, 0.1])
+        head, levels = _stop(_channel_values, t, k, y, nsl)
+        block_head, block_levels = _stop(_block_values, t, k, y, nsl)
+        batch = oracle._LEVEL_BATCH
+        assert -(-levels // batch) == -(-block_levels // batch)
+        assert abs(head - block_head) <= 1e-12 * abs(block_head)
+        assert mp.time_sliced_propagator(mp.CPQuery(t=t, k=k, y1=0.2, y2=0.1), nsl) == head
+
+    @pytest.mark.parametrize("t,k", [(0.9, 1.3), (1.0, -6.0), (0.8, 0.0)])
+    def test_rotation_splits_q_into_transposed_channels(self, t, k):
+        plus, minus, cross_pm, cross_mp = _plus_channel(t, k, 6, 1e-3)
+        assert not cross_pm.any() and not cross_mp.any()
+        assert np.array_equal(minus, plus.T)
+
+    @pytest.mark.parametrize("t,k", [(0.9, 1.3), (1.0, -6.0), (0.8, 0.0)])
+    def test_channel_entries_give_the_recurrence_coefficients(self, t, k):
+        nsl, eps = 6, 1e-3
+        dt = t / nsl
+        plus = _plus_channel(t, k, nsl, eps)[0]
+        d = complex(eps, dt)
+        assert np.all(np.diag(plus)[::2] == d)  # every momentum entry
+        big_a = 2.0 + eps * eps + 1j * eps * dt * (1.0 + k * k / 2.0)
+        big_b = (1.0 - 1j * eps * dt * k * k / 4.0) ** 2 + (k * dt) ** 2
+        for j in range(1, nsl):  # x_j at slot 2j - 1, p_j at 2j - 2
+            x, p0, p1 = 2 * j - 1, 2 * j - 2, 2 * j
+            a_j = d * (plus[x, x] - plus[x, p0] * plus[p0, x] / d
+                       - plus[x, p1] * plus[p1, x] / d)
+            assert abs(a_j - big_a) <= 1e-13 * abs(big_a)
+            if j + 1 < nsl:
+                x1 = x + 2
+                low = plus[x1, x] - plus[x1, p1] * plus[p1, x] / d
+                up = plus[x, x1] - plus[x, p1] * plus[p1, x1] / d
+                assert abs(d * d * low * up - big_b) <= 1e-13 * abs(big_b)
+        # the recurrence carries the same A and B
+        rho = oracle._channel_rhos(dt, k, 2, np.array([eps]))[:, 0]
+        assert abs(1.0 + rho[0] - big_a) <= 1e-15 * abs(big_a)
+        assert abs((big_a - 1.0 - rho[1]) * (1.0 + rho[0]) - big_b) <= 1e-13 * abs(big_b)
+
+    def test_pivots_follow_the_dense_channel_elimination(self):
+        # scalar elimination of the plus channel in the order p_1, p_2, x_1,
+        # p_3, x_2, ...: p pivots d, x_j pivots tau_j / d
+        t, k, nsl, eps = 1.0, -2.3, 7, 1e-3
+        mat = _plus_channel(t, k, nsl, eps)[0].copy()
+        order = [0] + [i for j in range(1, nsl) for i in (2 * j, 2 * j - 1)]
+        mat = mat[np.ix_(order, order)]
+        pivots = []
+        for c in range(len(mat)):
+            pivots.append(mat[c, c])
+            mat[c + 1:, c + 1:] -= np.outer(mat[c + 1:, c], mat[c, c + 1:]) / mat[c, c]
+        d = complex(eps, t / nsl)
+        tau = 1.0 + oracle._channel_rhos(t / nsl, k, nsl - 1, np.array([eps]))[:, 0]
+        assert np.allclose([pivots[0], *pivots[1::2]], d, rtol=1e-14, atol=0)
+        assert np.allclose(pivots[2::2], tau / d, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("t,k", _CHANNEL_QUERIES)
+    @pytest.mark.parametrize("nsl", [3, 64, 1024])
+    def test_position_pivots_lie_in_the_right_half_plane(self, t, k, nsl):
+        eps = 1e-4 * 2.0 ** -np.arange(16)
+        dt = t / nsl
+        rho = oracle._channel_rhos(dt, k, nsl - 1, eps)
+        assert np.all(((1.0 + rho) / (eps + 1j * dt)).real > 0)
+
+    def test_log_det_matches_a_40_digit_recurrence(self):
+        mpmath = pytest.importorskip("mpmath")
+        t, k, nsl, eps = 0.7, 1.0, 256, 1e-4
+        with mpmath.workdps(40):
+            dt = mpmath.mpf(t) / nsl
+            kk, ee = mpmath.mpf(k), mpmath.mpf(eps)
+            big_a = 2 + ee**2 + 1j * ee * dt * (1 + kk**2 / 2)
+            big_b = (1 - 1j * ee * dt * kk**2 / 4) ** 2 + (kk * dt) ** 2
+            tau = big_a
+            want = mpmath.log(ee + 1j * dt) + mpmath.log(tau)
+            for _ in range(nsl - 2):
+                tau = big_a - big_b / tau
+                want += mpmath.log(tau)
+            want = complex(2 * want)
+        logdet, _ = oracle._sliced_exponent(t, k, 0.05, nsl, np.array([eps]))
+        assert abs(complex(logdet[0]) - want) <= 1e-13
 
 
 class TestIndependence:
@@ -311,6 +542,13 @@ class TestShortTime:
             got = oracle._short_time_integral(variant, k, t, 0.35, 1.0)
             want = _trapezoid_short_time_integral(variant, k, t)
             assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, -2.0, 3.0, 1e-6])
+    @pytest.mark.parametrize("variant", mp.VARIANTS, ids=lambda v: v.label())
+    def test_lagrange_limit_matches_the_vandermonde_solve(self, variant, k):
+        got = oracle._short_time_limit(variant, k, 0.35, 1.0)
+        assert abs(got - _vandermonde_short_time_limit(variant, k)) <= 1e-14
+        assert mp.short_time_check(variant, k) == abs(got - 1.0)
 
     def test_probe_times_halve_from_the_caustic_guard_time(self):
         assert oracle._SHORT_TIME_TS == (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)

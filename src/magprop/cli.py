@@ -219,6 +219,8 @@ def _parse_bumps(raw, t_end: float) -> list:
             amp, center, width = (float(v) for v in quad[1:])
         except ValueError as exc:
             raise ValidationError(f"malformed --bump {quad}: {exc}") from exc
+        if not np.isfinite(amp):
+            raise ValidationError(f"bump amplitude must be finite, got {amp}")
         if comp not in (0, 1, 2, 3):
             raise ValidationError(f"bump component must be 0..3, got {comp}")
         if not (width > 0):

@@ -36,7 +36,7 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .grid import BlockOperator, GridFunction, GridSpec, OperatorMatrix, pair
+from .grid import BlockOperator, GridFunction, GridSpec, OperatorMatrix, _block_groups, pair
 
 __all__ = [
     "TTValue",
@@ -134,26 +134,6 @@ def _application(op, grid: GridSpec, d: int) -> Optional[np.ndarray]:
 
 def _identity(grid: GridSpec, d: int) -> BlockOperator:
     return BlockOperator(grid, {(i, i): 1.0 for i in range(d)})
-
-
-def _block_groups(d: int, *ops: BlockOperator) -> list:
-    """Strongly connected groups of the block pattern of Id plus ops.
-
-    Block (i, j) links block row i to block column j. The groups come in an
-    order in which every block of every op has its row's group at or before
-    its column's group, so Id + the ops, their sums, products and inverses
-    are all block upper triangular in that order. The pattern is read from
-    the block keys alone; no entry is tested for zero.
-    """
-    reach = np.eye(d, dtype=bool)
-    for op in ops:
-        for i, j in op.blocks:
-            reach[i, j] = True
-    for m in range(d):  # Warshall's transitive closure
-        reach |= np.outer(reach[:, m], reach[m])
-    groups = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(d)}
-    # A group that reaches another one also reaches strictly more blocks.
-    return [list(g) for g in sorted(groups, key=lambda g: (-int(reach[g[0]].sum()), g))]
 
 
 def _group_spectrum(a: BlockOperator, b: BlockOperator, groups: list) -> np.ndarray:

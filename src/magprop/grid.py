@@ -310,11 +310,6 @@ class BlockOperator:
                 clean[(i, j)] = arr
         object.__setattr__(self, "blocks", clean)
 
-    @property
-    def upper_triangular_2x2(self) -> bool:
-        """True when the lower-left 2x2 superblock vanishes identically."""
-        return all((i, j) not in self.blocks for i in (2, 3) for j in (0, 1))
-
     def block(self, i: int, j: int) -> np.ndarray:
         """Materialize one block as a dense application matrix."""
         blk = self.blocks.get((i, j))
@@ -435,61 +430,80 @@ def block_assemble(grid: GridSpec, rows, meta: dict | None = None) -> BlockOpera
     return BlockOperator(grid, blocks, meta=dict(meta or {}))
 
 
-def _checked_inverse(mat: np.ndarray, context: str) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"singular operator while inverting {context}") from exc
-    # One-norm reciprocal condition estimate; cheap once the inverse exists.
-    rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1))
-    if rcond < RCOND_MIN:
-        raise IllConditionedError(
-            f"operator {context} is ill-conditioned (rcond ~ {rcond:.2e} < {RCOND_MIN:.0e})"
-        )
-    return inv
+def _block_groups(d: int, *ops: BlockOperator) -> list:
+    """Strongly connected groups of the block pattern of Id plus ops.
+
+    Block (i, j) links block row i to block column j. The groups come in an
+    order in which every block of every op has its row's group at or before
+    its column's group, so Id + the ops, their sums, products and inverses
+    are all block upper triangular in that order. The pattern is read from
+    the block keys alone; no entry is tested for zero.
+    """
+    reach = np.eye(d, dtype=bool)
+    for op in ops:
+        for i, j in op.blocks:
+            reach[i, j] = True
+    for m in range(d):  # Warshall's transitive closure
+        reach |= np.outer(reach[:, m], reach[m])
+    groups = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(d)}
+    # A group that reaches another one also reaches strictly more blocks.
+    return [list(g) for g in sorted(groups, key=lambda g: (-int(reach[g[0]].sum()), g))]
+
+
+def _one_norm(blocks: Mapping) -> float:
+    """Largest absolute column sum of blocks keyed by (row, column);
+    a scalar block stands for that multiple of the identity."""
+    sums: dict = {}
+    for (_, j), blk in blocks.items():
+        sums[j] = sums.get(j, 0.0) + (abs(blk) if np.isscalar(blk) else np.abs(blk).sum(axis=0))
+    return float(max(np.max(s) for s in sums.values()))
 
 
 def block_invert(op: BlockOperator) -> BlockOperator:
-    """Invert a BlockOperator by dense solve.
+    """Invert a BlockOperator group by group, in the order of _block_groups.
 
-    When the lower-left 2x2 superblock vanishes the inverse is assembled from
-    the two diagonal superblocks:
-
-        [[M1, P], [0, M2]]^-1 = [[M1^-1, -M1^-1 P M2^-1], [0, M2^-1]]
-
-    which halves the dense work, and M1 is inverted once when M2 equals it
-    entry for entry. Condition estimates below RCOND_MIN raise
-    IllConditionedError naming the operator's (t, k) context when available.
+    op = N is block upper triangular in that order, and so is X = N^-1. Each
+    diagonal group block D_a is inverted densely, once for all groups whose
+    D_a equals it entry for entry; above it, X_ab = -sum_{a<m<=b}
+    (D_a^-1 N_am) X_mb in that association, column group by column group.
+    One one-norm reciprocal condition estimate of the whole operator, from
+    block column sums, below RCOND_MIN raises IllConditionedError naming the
+    operator's (t, k) context when available.
     """
     n = op.grid.n
     ctx = op.meta.get("label", "block operator")
     if "t" in op.meta or "k" in op.meta:
         ctx = f"{ctx} (t={op.meta.get('t')}, k={op.meta.get('k')})"
 
-    def split(mat: np.ndarray, row0: int, col0: int, out: dict):
-        for a in range(2):
-            for b in range(2):
-                blk = mat[a * n:(a + 1) * n, b * n:(b + 1) * n]
-                if np.any(blk):
-                    out[(row0 + a, col0 + b)] = blk.copy()
+    groups = _block_groups(4, op)
+    diag, inv = [], []
+    for g in groups:
+        diag.append(op.superblock(g, g))
+        same = [a for a in range(len(inv)) if np.array_equal(diag[a], diag[-1])]
+        try:
+            inv.append(inv[same[0]] if same else np.linalg.inv(diag[-1]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError(f"singular operator while inverting {ctx}") from exc
+    x = {}
+    for b in range(len(groups)):
+        x[b, b] = inv[b]
+        for a in range(b - 1, -1, -1):
+            terms = [inv[a] @ op.superblock(groups[a], groups[m]) @ x[m, b]
+                     for m in range(a + 1, b + 1) if (m, b) in x
+                     and any((i, j) in op.blocks for i in groups[a] for j in groups[m])]
+            if terms:
+                x[a, b] = -sum(terms[1:], terms[0])
 
     blocks: dict = {}
-    if op.upper_triangular_2x2:
-        m1 = op.superblock((0, 1), (0, 1))
-        m2 = op.superblock((2, 3), (2, 3))
-        p = op.superblock((0, 1), (2, 3))
-        m1i = _checked_inverse(m1, ctx)
-        m2i = m1i if np.array_equal(m1, m2) else _checked_inverse(m2, ctx)
-        split(m1i, 0, 0, blocks)
-        split(m2i, 2, 2, blocks)
-        if np.any(p):
-            split(-(m1i @ p @ m2i), 0, 2, blocks)
-    else:
-        dense = op.dense()
-        inv = _checked_inverse(dense, ctx)
-        for i in range(4):
-            for j in range(4):
-                blk = inv[i * n:(i + 1) * n, j * n:(j + 1) * n]
+    for (a, b), mat in x.items():
+        for r, i in enumerate(groups[a]):
+            for c, j in enumerate(groups[b]):
+                blk = mat[r * n:(r + 1) * n, c * n:(c + 1) * n]
                 if np.any(blk):
                     blocks[(i, j)] = blk.copy()
+    rcond = 1.0 / (_one_norm(op.blocks) * _one_norm(x))
+    if not rcond >= RCOND_MIN:
+        raise IllConditionedError(
+            f"operator {ctx} is ill-conditioned (rcond ~ {rcond:.2e} < {RCOND_MIN:.0e})"
+        )
     return BlockOperator(op.grid, blocks, meta={**op.meta, "inverse_of": ctx})

@@ -66,6 +66,17 @@ CAUSTIC_TOL = 1e-6
 # keeps relative error at the 1e-16 level and makes k = 0 exact.
 _SERIES_CUT = 1e-4
 
+# Working-set estimates over this many bytes are refused before allocating.
+_MEMORY_BUDGET = 1 << 30
+
+
+def _check_memory(what: str, nbytes: float) -> None:
+    if nbytes > _MEMORY_BUDGET:
+        raise ValidationError(
+            f"{what} would take about {nbytes / 2**20:.0f} MiB, over the "
+            f"{_MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+        )
+
 
 def _k_over_sin(k: float, t: float) -> float:
     """k / sin(kt), continued through k = 0 as 1/t."""
@@ -524,12 +535,15 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     {1 - k^2 lambda : lambda eigenvalue of A}, each twice, plus an exact
     eigenvalue 1 of multiplicity 2n. One real-symmetric n x n eigensolve of A
     therefore replaces the dense 4n x 4n problem (the dense route is kept as
-    a small-n cross-check in the tests).
+    a small-n cross-check in the tests). An n whose working set (about
+    40 n^2 bytes) is over the 1 GiB budget is refused before any allocation.
     """
     if not np.isfinite(k):
         raise ValidationError(f"k must be finite, got {k}")
     if count < 1 or count > grid.n:
         raise ValidationError(f"count must be in [1, {grid.n}], got {count}")
+    # A's kernel and application as complex n x n arrays, and eigvalsh's real copy
+    _check_memory(f"spectrum at n = {grid.n}", 40.0 * grid.n * grid.n)
     a_app = discretize("A", grid).application
     try:
         lam = np.linalg.eigvalsh(a_app.real)
@@ -593,7 +607,9 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     (psi_1 is the trigamma function; the tail sums the remaining
     log(1 - x/(m-1/2)^2) terms to first order, which is all that survives at
     these magnitudes). method "dense": slogdet of the literally assembled
-    discretized operator on a grid with n = order cells.
+    discretized operator on a grid with n = order cells. An order whose
+    working set (32 order bytes for "product", 768 order^2 for "dense") is
+    over the 1 GiB budget is refused before any allocation.
     """
     if not (np.isfinite(t) and t > 0):
         raise ValidationError(f"t must be positive and finite, got {t}")
@@ -602,6 +618,8 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if method == "product":
+        # four float arrays of length order are alive at once
+        _check_memory(f"det --method product at order {order}", 32.0 * order)
         m = np.arange(1, order + 1, dtype=float)
         kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
         v = 1.0 - kt2 / ((m - 0.5) * math.pi) ** 2
@@ -611,6 +629,8 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
         tail = math.exp(-2.0 * kt2 / math.pi**2 * _trigamma(order + 0.5))
         return complex(body * tail)
     if method == "dense":
+        # the complex 4n x 4n matrix, its LU copy and the blocks it is built from
+        _check_memory(f"det --method dense at order {order}", 3 * 256.0 * order * order)
         grid = GridSpec(t, order)
         target = block_identity(grid) + _cp_l(grid, k).compose(_id_plus_k_inverse(grid))
         dense = target.dense()

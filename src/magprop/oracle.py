@@ -61,6 +61,10 @@ _SERIES_CUT = 1e-4  # below this |kt| the trig ratios take their Taylor forms
 # Regularization levels per sweep of the channel recurrence, which runs
 # them side by side. One sweep of 8 is enough up to N = 1024 at kt < pi/2.
 _LEVEL_BATCH = 8
+# The extrapolation stops when two successive heads agree to this relative
+# tolerance, and fails after this many levels.
+_STAGNATION_TOL = 1e-12
+_MAX_LEVELS = 40
 # Working set per slice of one sweep: rho_j and its log1p at every level.
 _SLICE_BYTES = _LEVEL_BATCH * 2 * 16
 _SLICED_MEMORY_BUDGET = 1 << 30
@@ -139,9 +143,7 @@ def _check_slicing(slices, eps0: float):
         raise ValidationError(f"eps0 must be positive, got {eps0}")
 
 
-def time_sliced_propagator(
-    q: CPQuery, slices: int, eps0: float = 1e-4, tol: float = 1e-12, max_levels: int = 40
-) -> complex:
+def time_sliced_propagator(q: CPQuery, slices: int, eps0: float = 1e-4) -> complex:
     """Broken-path phase-space integral with N = ``slices`` time steps.
 
     The integration variables are z = (p_1, x_1, ..., p_{N-1}, x_{N-1},
@@ -157,8 +159,8 @@ def time_sliced_propagator(
     exp(-b^T A^-1 b / 2 + i c0) with A = eps I - i Q, absolutely convergent
     because the Hermitian part of A is eps I. The eps -> 0+ limit is taken
     by Richardson extrapolation over eps_j = eps0 2^{-j} until the
-    extrapolant stagnates below ``tol``; several levels share one sweep of
-    the recurrence below.
+    extrapolant stagnates below ``_STAGNATION_TOL`` (within ``_MAX_LEVELS``
+    levels); several levels share one sweep of the recurrence below.
 
     Rotation channels. Every 2x2 plane block of A has the form a I + b J,
     and on each slot the unitary similarity with columns (1, +-i)/sqrt(2)
@@ -225,17 +227,18 @@ def time_sliced_propagator(
 
     vals: list = []
     prev_head: Optional[complex] = None
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         if level == len(vals):
-            batch = np.arange(level, min(level + _LEVEL_BATCH, max_levels))
+            batch = np.arange(level, min(level + _LEVEL_BATCH, _MAX_LEVELS))
             vals.extend(values_at(eps0 * 2.0 ** (-batch)))
         head = _richardson(vals[: level + 1])[-1][0]
-        if prev_head is not None and abs(head - prev_head) <= tol * max(1.0, abs(head)):
+        tol = _STAGNATION_TOL * max(1.0, abs(head))
+        if prev_head is not None and abs(head - prev_head) <= tol:
             return head
         prev_head = head
     raise ConvergenceError(
-        f"regularization extrapolation did not stagnate below {tol:.0e} within "
-        f"{max_levels} levels (t={q.t}, k={q.k}, slices={slices})"
+        f"regularization extrapolation did not stagnate below {_STAGNATION_TOL:.0e} within "
+        f"{_MAX_LEVELS} levels (t={q.t}, k={q.k}, slices={slices})"
     )
 
 

@@ -335,8 +335,11 @@ class TestDomainAndOutputFailures:
             (["spectrum", "--t", "1.0", "--k", "inf", "--n", "64", "--count", "3"], 2),
             (["propagator", "--t", "1.0", "--k", "1.0", "--out", "{missing}/out.json"], 1),
             (["propagator", "--t", "1e308", "--k", "1e308"], 2),
+            (["tgen", "--t", "1", "--k", "1", "--bump", "0", "nan", "0.5", "0.1"], 2),
+            (["tgen", "--t", "1", "--k", "1", "--bump", "0", "inf", "0.5", "0.1"], 2),
         ],
-        ids=["det_k_nan", "spectrum_k_inf", "out_missing_dir", "propagator_1e308"],
+        ids=["det_k_nan", "spectrum_k_inf", "out_missing_dir", "propagator_1e308",
+             "tgen_amp_nan", "tgen_amp_inf"],
     )
     def test_exit_code_without_traceback(self, capsys, tmp_path, argv, code):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]

@@ -12,8 +12,7 @@ from magprop.errors import (
     SingularOperatorError,
     ValidationError,
 )
-from magprop.gaussians import _block_groups
-from magprop.grid import BlockOperator, OperatorMatrix
+from magprop.grid import BlockOperator, OperatorMatrix, _block_groups
 
 
 def rank_one_quarter(grid):

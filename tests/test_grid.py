@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import magprop as mp
 from magprop.errors import IllConditionedError, SingularOperatorError, ValidationError
-from magprop.grid import OperatorMatrix, _a_apply, _b_apply, _bstar_apply
+from magprop.grid import OperatorMatrix, _a_apply, _b_apply, _block_groups, _bstar_apply
 from magprop.magnetic import _id_plus_k_inverse
 
 
@@ -207,14 +207,6 @@ def test_block_zero_entries_dropped():
     assert op.blocks[(1, 1)] == 2.0
 
 
-def test_upper_triangular_detection(cp_unit):
-    assert cp_unit.N.upper_triangular_2x2
-    assert cp_unit.L.upper_triangular_2x2
-    g = cp_unit.grid
-    full = mp.BlockOperator(g, {(2, 0): 1.0, (0, 0): 1.0})
-    assert not full.upper_triangular_2x2
-
-
 def test_block_invert_identity_residual():
     # dense inverse route at n=512: residual far below the 1e-10 contract
     g = mp.make_grid(1.0, 512)
@@ -243,9 +235,30 @@ def test_block_invert_nontriangular_matches_dense():
     for i in range(4):
         blocks[(i, i)] = blocks[(i, i)] + np.eye(10)
     op = mp.BlockOperator(g, blocks)
-    assert not op.upper_triangular_2x2
+    assert _block_groups(4, op) == [[0, 1, 2, 3]]
     inv = mp.block_invert(op)
     assert np.allclose(inv.dense(), np.linalg.inv(op.dense()))
+
+
+def test_block_invert_three_groups_matches_dense():
+    # groups [0, 1], [2], [3] with unequal diagonal blocks, coupled above the
+    # group diagonal only
+    n = 10
+    g = mp.make_grid(1.0, n)
+    rng = np.random.default_rng(12)
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    blocks = {key: 0.2 * rng.standard_normal((n, n)) for key in keys}
+    for i in range(3):
+        blocks[(i, i)] = blocks[(i, i)] + (1.0 + i) * np.eye(n)
+    blocks[(3, 3)] = 0.5
+    op = mp.BlockOperator(g, blocks)
+    groups = _block_groups(4, op)
+    assert groups == [[0, 1], [2], [3]]
+    inv = mp.block_invert(op)
+    assert np.allclose(inv.dense(), np.linalg.inv(op.dense()), rtol=0, atol=1e-12)
+    rank = {i: a for a, grp in enumerate(groups) for i in grp}
+    assert all(rank[i] <= rank[j] for i, j in inv.blocks)
+    assert {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)} <= set(inv.blocks)
 
 
 def test_block_invert_singular():

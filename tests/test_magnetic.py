@@ -389,6 +389,26 @@ class TestDeterminant:
             mp.det_idlk(-1.0, 1.0, "product", 100)
 
 
+class TestMemoryBudget:
+    # each size's unguarded allocation would be over 1 TB, so these fail at
+    # once with or without the guard; AC-02 (n = 2048) and AC-03 (order
+    # 1024) run under the same budget
+    @pytest.mark.parametrize("call, what", [
+        (lambda: mp.spectrum_idlk(mp.make_grid(1.0, 10**6), 1.0, 5), "spectrum at n = 1000000"),
+        (lambda: mp.det_idlk(1.0, 1.0, "dense", 10**6), "dense at order 1000000"),
+        (lambda: mp.det_idlk(1.0, 1.0, "product", 10**13), "product at order 10000000000000"),
+    ], ids=["spectrum", "dense", "product"])
+    def test_over_budget_fails_before_allocating(self, call, what):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"{what} .* MiB, over the 1024 MiB"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+
 class TestGeneratingFunctional:
     def make_xi(self, g):
         s = g.nodes

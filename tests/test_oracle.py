@@ -306,10 +306,11 @@ class TestTimeSlicing:
                 mp.CPQuery(t=0.5, k=1.0, y1=0.0, y2=0.0, y3=1.0), 8
             )
 
-    def test_exhausted_levels_raise(self):
+    def test_exhausted_levels_raise(self, monkeypatch):
         q = mp.CPQuery(t=0.5, k=1.0, y1=0.0, y2=0.0)
+        monkeypatch.setattr(oracle, "_MAX_LEVELS", 1)
         with pytest.raises(ConvergenceError):
-            mp.time_sliced_propagator(q, 8, max_levels=1)
+            mp.time_sliced_propagator(q, 8)
 
     @pytest.mark.parametrize("nsl", [2, 3, 8, 64, 256])
     @pytest.mark.parametrize("t,k", _REFERENCE_QUERIES)

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_memory
 from .grid import GridFunction, GridSpec, make_grid
 from .magnetic import (
     ADJUDICATED_VARIANT,
@@ -44,9 +44,28 @@ class _WriteError(Exception):
     pass
 
 
+class _NumberToken:
+    """Stands in for argparse's negative-number pattern, which passes only
+    strings like "-0.5" as values: here every token that float() accepts,
+    "-1e-3" and "-inf" included, is a value and never an option name."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions (exit code 1, not
-    argparse's default 2, which this tool reserves for invalid queries)."""
+    argparse's default 2, which this tool reserves for invalid queries), and
+    that reads every number as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NumberToken()
 
     def error(self, message):
         raise _UsageError(message)
@@ -277,10 +296,23 @@ def _cmd_oracle(args) -> None:
     }, args.out)
 
 
+# Bytes one sweep row holds until the CSV is written: its CPQuery, two
+# linspace entries, its text line and its share of the joined output (about
+# 420 measured with tracemalloc), rounded up.
+_SWEEP_ROW_BYTES = 512
+
+
+def _check_sweep(t_steps: int, k_steps: int) -> None:
+    """Refuse a sweep with fewer than one step per axis, or one whose rows
+    would not fit the memory budget, before anything is allocated."""
+    for name, steps in (("t-steps", t_steps), ("k-steps", k_steps)):
+        if steps < 1:
+            raise ValidationError(f"--{name} must be >= 1")
+    check_memory(f"a sweep of {t_steps * k_steps} rows", _SWEEP_ROW_BYTES * t_steps * k_steps)
+
+
 def _cmd_sweep(args) -> None:
-    for name in ("t_steps", "k_steps"):
-        if getattr(args, name) < 1:
-            raise ValidationError(f"--{name.replace('_', '-')} must be >= 1")
+    _check_sweep(args.t_steps, args.k_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     ks = np.linspace(args.k_min, args.k_max, args.k_steps)
     queries = [CPQuery(t=float(t), k=float(k), y1=args.y1, y2=args.y2)
@@ -290,6 +322,8 @@ def _cmd_sweep(args) -> None:
     lines = ["t,k,re,im"]
     for q in queries:
         v = propagator(q)
+        if not np.isfinite(v):
+            raise NumericalError(f"non-finite propagator at t={q.t!r}, k={q.k!r}")
         lines.append(f"{q.t!r},{q.k!r},{v.real!r},{v.imag!r}")
     _emit("\n".join(lines) + "\n", args.out)
 

@@ -3,6 +3,8 @@
 Two families matter downstream: validation errors (bad arguments, excluded
 parameter regions) and numerical failures (a computation that was attempted
 and did not succeed). The CLI maps them to exit codes 2 and 3 respectively.
+``check_memory`` holds the one working-set budget that every entry point
+checks its size against before it allocates.
 """
 
 __all__ = [
@@ -15,6 +17,8 @@ __all__ = [
     "IllConditionedError",
     "ConvergenceError",
     "AdjudicationError",
+    "MEMORY_BUDGET",
+    "check_memory",
 ]
 
 
@@ -52,3 +56,17 @@ class ConvergenceError(NumericalError):
 
 class AdjudicationError(NumericalError):
     """The variant adjudication did not produce a unique winner."""
+
+
+# Working-set estimates over this many bytes are refused before allocating.
+MEMORY_BUDGET = 1 << 30
+
+
+def check_memory(what: str, nbytes: float) -> None:
+    """Raise ValidationError, naming what and the estimate, when nbytes is
+    over MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValidationError(
+            f"{what} would take about {nbytes / 2**20:.0f} MiB, over the "
+            f"{MEMORY_BUDGET / 2**20:.0f} MiB budget"
+        )

@@ -257,6 +257,16 @@ def _a_apply(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _a_inverse_bands(grid: GridSpec) -> tuple:
+    """Diagonal and off-diagonal of the tridiagonal h^2 A^-1 for the
+    application matrix of A: tridiag(-1; 1, 2, ..., 2, 3; -1). A's kernel
+    is semiseparable (rank 1 on either side of the diagonal), so its
+    inverse is banded."""
+    diag = np.full(grid.n, 2.0)
+    diag[0], diag[-1] = 1.0, 3.0
+    return diag, np.full(grid.n - 1, -1.0)
+
+
 def _b_apply(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """B v: h [sum_{j<i} v_j + v_i / 2]."""
     out = _prefix_sum(v)

@@ -5,8 +5,9 @@ H = 1/2 |p|^2 - k (x1 p2 - x2 p1) + 1/2 k^2 |x|^2 with cyclotron parameter
 k = qB_z/(mc) and m = hbar = 1. This module builds the block operators K
 (kinetic/multiplication part) and L (potential couplings through the
 integral operators A, B, B*), implements the closed-form inverse of
-N = Id + K + L, solves the endpoint-preimage boundary value problem, and
-evaluates spectrum, determinant, generating functional, and propagator.
+N = Id + K + L, solves the discretized N exactly for the endpoint
+preimages, and evaluates spectrum, determinant, generating functional, and
+propagator.
 
 Everything divides by cos(kt) somewhere, so times with |cos(kt)| below
 CAUSTIC_TOL are rejected up front (focal/caustic times). The k -> 0 limit is
@@ -23,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CausticError, NumericalError, ValidationError
+from .errors import CausticError, NumericalError, ValidationError, check_memory
 from .gaussians import TTValue
 from .grid import (
     BlockOperator,
     GridFunction,
     GridSpec,
     _a_apply,
+    _a_inverse_bands,
     _b_apply,
     _bstar_apply,
     _column,
@@ -65,17 +67,6 @@ CAUSTIC_TOL = 1e-6
 # Below this |kt| the trig ratios switch to their Taylor forms. The crossover
 # keeps relative error at the 1e-16 level and makes k = 0 exact.
 _SERIES_CUT = 1e-4
-
-# Working-set estimates over this many bytes are refused before allocating.
-_MEMORY_BUDGET = 1 << 30
-
-
-def _check_memory(what: str, nbytes: float) -> None:
-    if nbytes > _MEMORY_BUDGET:
-        raise ValidationError(
-            f"{what} would take about {nbytes / 2**20:.0f} MiB, over the "
-            f"{_MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
-        )
 
 
 def _k_over_sin(k: float, t: float) -> float:
@@ -281,7 +272,9 @@ def _couplings(grid: GridSpec, k: float, g: np.ndarray) -> dict:
     bsg = _bstar_apply(grid, g)
     abg = _a_apply(grid, bg)
     bsag = _bstar_apply(grid, _a_apply(grid, g))
-    k3 = k**3
+    # k**3 to the bit (k * k * k is not, for about a quarter of all k), but
+    # inf where the float power raises OverflowError
+    k3 = np.float64(k) ** 3
     return {
         (0, 2): -2.0 * k * (bg - bsg),
         (0, 3): -2.0 * (k * bg - k3 * bsag),
@@ -342,125 +335,69 @@ def n_inverse_closed(grid: GridSpec, k: float) -> BlockOperator:
     return BlockOperator(grid, blocks, meta={"t": grid.t_end, "k": k, "label": "N^-1 closed"})
 
 
-def _fd_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes xs
-    (Fornberg's recurrence)."""
-    xs = np.asarray(xs, dtype=float)
-    npts = len(xs)
-    c = np.zeros((npts, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, npts):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for sdx in range(mn, 0, -1):
-                    c[i, sdx] = c1 * (sdx * c[i - 1, sdx - 1] - c5 * c[i - 1, sdx]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for sdx in range(mn, 0, -1):
-                c[j, sdx] = (c4 * c[j, sdx] - sdx * c[j, sdx - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
+def _discrete_resolvent(grid: GridSpec, k: float, r: np.ndarray) -> np.ndarray:
+    """(k^2 A - 1)^-1 r for the discretized A, exact up to rounding, in O(n).
+
+    With T = h^2 A^-1 tridiagonal (``grid._a_inverse_bands``), (k^2 A - 1) x
+    = r is the tridiagonal system (k^2 h^2 - T) x = T r. Near a caustic that
+    system is about n^2 worse conditioned than the operator itself, so one
+    step of iterative refinement follows, on the residual of k^2 A - 1
+    formed with the O(n) A apply.
+    """
+    from scipy.linalg import solve_banded  # scipy loads only where it is used
+
+    diag, off = _a_inverse_bands(grid)
+    kh = k * grid.weight
+    if not math.isfinite(kh * kh):
+        # an infinite diagonal would return x = 0 without complaint
+        raise NumericalError(f"(k h)^2 overflows (t={grid.t_end}, k={k}, n={grid.n})")
+    band = np.ones((3, grid.n))
+    band[1] = kh * kh - diag
+
+    def solve(v):
+        tv = diag * v
+        tv[1:] += off * v[:-1]
+        tv[:-1] += off * v[1:]
+        return solve_banded((1, 1), band, tv, check_finite=False)
+
+    try:
+        x = solve(r)
+        x += solve(r - _a_apply(grid, (k * k) * x) + x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"preimage system is singular (t={grid.t_end}, k={k})") from exc
+    return x
 
 
 _PIN_ALIASES = {"eta1": "eta1", "eta3": "eta3", 1: "eta1", 3: "eta3"}
 
 
 def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
-    """Solve N f = eta for the endpoint pins by a finite-difference BVP.
+    """Solve the discretized N f = eta for the endpoint pins, in O(n).
 
     which selects the pin: "eta1" (indicator in component 0) or "eta3"
-    (indicator in component 2). The coupled system for (f1, f2, f3), with
-    f4 = f3, is
-
-        f1'' + k^2 f1 - 4k f3' = 0
-        f2'  - f1' + 2k f3     = 0
-        f3'' + k^2 f3          = 0
-
-    with boundary values f1(0) = f2(0), f2'(0) = 2k f3(0), f3'(0) = 0,
-    f2(t) = i or 0, f3(t) = 0 or i (eta1 / eta3 respectively). Interior
-    stencils are second-order central; the first-derivative equation is
-    enforced on cell faces (midpoint averages), which suppresses the
-    odd-even null mode; boundary rows use 4-point one-sided stencils so the
-    boundary error does not dominate the pairing integrals. Ordered node by
-    node, the system is banded and is solved directly in O(n).
+    (indicator in component 2). N = i [[M, P], [0, M]] as in
+    :func:`n_inverse_closed`, and M (a, b) = (r, s) gives
+    a = (k^2 A - 1)^-1 (r + s) and b = s + a. So eta1's preimage is
+    (a, a, 0, 0) with a = (k^2 A - 1)^-1 (-i), and eta3's has f2 = f3 = a
+    and M (f0, f1) = -P (a, a). Each resolvent is the exact solve of
+    :func:`_discrete_resolvent`, so this is the same midpoint-rule N that
+    the Gauss engines and ``det --method dense`` use, solved without
+    forming it.
     """
-    from scipy.linalg import solve_banded  # scipy loads only where it is used
-
     key = _PIN_ALIASES.get(which)
     if key is None:
         raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
     _check_caustic(grid.t_end, k)
-    n = grid.n
-    h = grid.weight
-    s = grid.nodes
-    t = grid.t_end
-    if n < 8:
-        raise ValidationError("preimage BVP needs n >= 8")
-
-    # Unknown 3j + c is f_{c+1} at node j. Rows 3m..3m+2 hold the equations
-    # centred on node m: the three conditions at s = 0 for m = 0; the face
-    # equation between nodes m-1 and m, then the f1 and f3 stencils, for
-    # interior m; the last face equation and the two end values for m = n-1.
-    # The 4-point boundary rows set the band, (lower, upper) = (9, 10).
-    lower, upper = 9, 10
-    band = np.zeros((lower + upper + 1, 3 * n), dtype=complex)
-    rhs = np.zeros(3 * n, dtype=complex)
-
-    def put(rows, comp, nodes, value):
-        # rows and cols advance together along a stencil term, so one call
-        # fills (a stretch of) one band diagonal
-        cols = 3 * nodes + comp
-        band[upper + rows - cols, cols] = value
-
-    m = np.arange(1, n)
-    face = 3 * m
-    put(face, 1, m, 1.0)
-    put(face, 1, m - 1, -1.0)
-    put(face, 0, m, -1.0)
-    put(face, 0, m - 1, 1.0)
-    put(face, 2, m, k * h)
-    put(face, 2, m - 1, k * h)
-
-    m = np.arange(1, n - 1)
-    kh2 = k * k * h * h
-    for row, comp in ((3 * m + 1, 0), (3 * m + 2, 2)):
-        put(row, comp, m - 1, 1.0)
-        put(row, comp, m, kh2 - 2.0)
-        put(row, comp, m + 1, 1.0)
-    put(3 * m + 1, 2, m + 1, -2.0 * k * h)
-    put(3 * m + 1, 2, m - 1, 2.0 * k * h)
-
-    w0 = _fd_weights(s[:4], 0.0, 0)
-    d0 = _fd_weights(s[:4], 0.0, 1)
-    wt = _fd_weights(s[-4:], t, 0)
-    p = np.arange(4)
-    put(0, 0, p, w0)
-    put(0, 1, p, -w0)
-    put(1, 1, p, d0)
-    put(1, 2, p, -2.0 * k * w0)
-    put(2, 2, p, d0)
-    end = 3 * (n - 1)
-    put(end + 1, 1, n - 4 + p, wt)
-    rhs[end + 1] = 1j if key == "eta1" else 0.0
-    put(end + 2, 2, n - 4 + p, wt)
-    rhs[end + 2] = 1j if key == "eta3" else 0.0
-
-    try:
-        sol = solve_banded((lower, upper), band, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"preimage system is singular (t={t}, k={k})") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError(f"preimage solve produced non-finite values (t={t}, k={k})")
-    f1, f2, f3 = sol[0::3], sol[1::3], sol[2::3]
-    return GridFunction(grid, np.stack([f1, f2, f3, f3]))
+    a = _discrete_resolvent(grid, k, np.full(grid.n, -1j))
+    if key == "eta1":
+        values = np.stack([a, a, np.zeros_like(a), np.zeros_like(a)])
+    else:
+        s = -2.0 * k * _b_apply(grid, a)
+        f0 = _discrete_resolvent(grid, k, 2.0 * k * _bstar_apply(grid, a) + s)
+        values = np.stack([f0, s + f0, a, a])
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"preimage solve produced non-finite values (t={grid.t_end}, k={k})")
+    return GridFunction(grid, values)
 
 
 def _closed_preimage(grid: GridSpec, k: float, which) -> GridFunction:
@@ -491,8 +428,9 @@ def m_matrix(t: float, k: float, grid: Optional[GridSpec] = None):
     """Pinning matrix (eta_i, N^-1 eta_j): closed form i tan(kt)/k * Id_2.
 
     Without a grid, returns the closed 2x2 array. With a grid, also computes
-    the quadrature value through the BVP preimages and returns an
-    MMatrixResult(closed, numerical) pair for comparison.
+    the quadrature value through the preimages of the discretized N
+    (:func:`solve_preimage`) and returns an MMatrixResult(closed, numerical)
+    pair for comparison.
     """
     _check_caustic(t, k)
     closed = 1j * _tan_over_k(k, t) * np.eye(2, dtype=complex)
@@ -543,7 +481,7 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     if count < 1 or count > grid.n:
         raise ValidationError(f"count must be in [1, {grid.n}], got {count}")
     # A's kernel and application as complex n x n arrays, and eigvalsh's real copy
-    _check_memory(f"spectrum at n = {grid.n}", 40.0 * grid.n * grid.n)
+    check_memory(f"spectrum at n = {grid.n}", 40.0 * grid.n * grid.n)
     a_app = discretize("A", grid).application
     try:
         lam = np.linalg.eigvalsh(a_app.real)
@@ -619,7 +557,7 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
         raise ValidationError(f"order must be >= 1, got {order}")
     if method == "product":
         # four float arrays of length order are alive at once
-        _check_memory(f"det --method product at order {order}", 32.0 * order)
+        check_memory(f"det --method product at order {order}", 32.0 * order)
         m = np.arange(1, order + 1, dtype=float)
         kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
         v = 1.0 - kt2 / ((m - 0.5) * math.pi) ** 2
@@ -630,7 +568,7 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
         return complex(body * tail)
     if method == "dense":
         # the complex 4n x 4n matrix, its LU copy and the blocks it is built from
-        _check_memory(f"det --method dense at order {order}", 3 * 256.0 * order * order)
+        check_memory(f"det --method dense at order {order}", 3 * 256.0 * order * order)
         grid = GridSpec(t, order)
         target = block_identity(grid) + _cp_l(grid, k).compose(_id_plus_k_inverse(grid))
         dense = target.dense()

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import AdjudicationError, ConvergenceError, ValidationError
+from .errors import AdjudicationError, ConvergenceError, ValidationError, check_memory
 from .magnetic import (
     ADJUDICATED_VARIANT,
     CAUSTIC_TOL,
@@ -67,7 +67,6 @@ _STAGNATION_TOL = 1e-12
 _MAX_LEVELS = 40
 # Working set per slice of one sweep: rho_j and its log1p at every level.
 _SLICE_BYTES = _LEVEL_BATCH * 2 * 16
-_SLICED_MEMORY_BUDGET = 1 << 30
 
 
 def _k_over_sin(k: float, t: float) -> float:
@@ -134,11 +133,7 @@ def _sliced_exponent(t: float, k: float, yy: float, slices: int, eps: np.ndarray
 def _check_slicing(slices, eps0: float):
     if not isinstance(slices, (int, np.integer)) or slices < 2:
         raise ValidationError(f"slices must be an integer >= 2, got {slices!r}")
-    if slices * _SLICE_BYTES > _SLICED_MEMORY_BUDGET:
-        raise ValidationError(
-            f"{slices} slices need about {slices * _SLICE_BYTES / 2**20:.0f} MiB, over the "
-            f"{_SLICED_MEMORY_BUDGET / 2**20:.0f} MiB budget of the sliced oracle"
-        )
+    check_memory(f"{slices} slices of the sliced oracle", slices * _SLICE_BYTES)
     if not (np.isfinite(eps0) and eps0 > 0):
         raise ValidationError(f"eps0 must be positive, got {eps0}")
 
@@ -400,7 +395,9 @@ def adjudicate(
     for variant in VARIANTS:
         r_h = pde_residual(variant, t, k, y1, y2, 1e-3, 1e-3)
         r_h2 = pde_residual(variant, t, k, y1, y2, 5e-4, 5e-4)
-        order = math.log2(r_h / max(r_h2, 1e-300))
+        # floored on both sides: a residual of exactly zero (as where the
+        # kernel underflows) measures no order and fails the gate, not log2
+        order = math.log2(max(r_h, 1e-300) / max(r_h2, 1e-300))
         pde_scores[variant.label()] = (r_h, r_h2, order)
         defect = short_time_check(variant, k)
         st_scores[variant.label()] = defect

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magprop as mp
 import magprop.cli as cli
-from magprop.errors import NumericalError
+from magprop.errors import NumericalError, ValidationError
 
 
 def run_json(capsys, argv):
@@ -66,6 +72,10 @@ class TestUsageErrors:
             ["det", "--t", "1.0", "--k", "1.0", "--method", "magic", "--order", "10"],
             ["det", "--t", "1.0", "--k", "1.0", "--order", "10"],
             ["no-such-command"],
+            # option names still parse as options, not as values
+            ["propagator", "--t", "1.0", "--k", "--y1", "0.5"],
+            ["tgen", "--t", "1", "--k", "1", "--bump", "0", "-1e-1", "0.5", "--n"],
+            ["propagator", "--t", "1.0", "--k", "-1e-3x"],
         ],
     )
     def test_exit_one_with_usage(self, capsys, argv):
@@ -75,6 +85,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("usage error:")
         assert "usage:" in captured.err
+
+    @pytest.mark.parametrize("argv, plain", [
+        (["propagator", "--t", "1", "--k", "-1e-3"], ["propagator", "--t", "1", "--k", "-0.001"]),
+        (["oracle", "--k", "-1E0"], ["oracle", "--k", "-1.0"]),
+        (["tgen", "--t", "1", "--k", "1", "--bump", "0", "-1e-1", "0.5", "0.1"],
+         ["tgen", "--t", "1", "--k", "1", "--bump", "0", "-0.1", "0.5", "0.1"]),
+    ], ids=["propagator", "oracle", "tgen"])
+    def test_every_float_token_is_a_value(self, capsys, argv, plain):
+        # argparse alone takes only "-0.5"-style strings as negative numbers
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert cli.run(plain) == 0
+        assert capsys.readouterr().out == out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -291,6 +314,30 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    def test_oversized_sweep_is_refused(self, capsys):
+        # unguarded, np.linspace alone would ask for 80 TB here
+        code = cli.run([
+            "sweep", "--t-min", "0.5", "--t-max", "1.0", "--t-steps", str(10**13),
+            "--k-min", "0.0", "--k-max", "1.0", "--k-steps", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "10000000000000 rows would take about" in captured.err
+        assert "MiB, over the 1024 MiB budget" in captured.err
+
+    def test_the_guard_counts_rows_before_allocating(self):
+        # the product of the axes is what counts: each axis alone is small
+        cli._check_sweep(10**3, 10**3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"10000000000 rows .* MiB, over the 1024"):
+                cli._check_sweep(10**5, 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = [
             "sweep", "--t-min", "0.5", "--t-max", "0.9", "--t-steps", "2",
@@ -337,16 +384,25 @@ class TestDomainAndOutputFailures:
             (["propagator", "--t", "1e308", "--k", "1e308"], 2),
             (["tgen", "--t", "1", "--k", "1", "--bump", "0", "nan", "0.5", "0.1"], 2),
             (["tgen", "--t", "1", "--k", "1", "--bump", "0", "inf", "0.5", "0.1"], 2),
+            (["propagator", "--t", "-inf", "--k", "1"], 2),
+            (["tgen", "--t", "1", "--k", "1", "--bump", "0", "-inf", "0.5", "0.1"], 2),
+            (["tgen", "--t", "0.7", "--k", "1e308", "--n", "16",
+              "--bump", "0", "0.5", "0.0", "0.1"], 3),
+            (["oracle", "--t", "1e308", "--k", "1e-308", "--slices", "8"], 3),
+            (["sweep", "--t-min", "0.7", "--t-max", "1.0", "--t-steps", "2",
+              "--k-min", "1e308", "--k-max", "1.0", "--k-steps", "2"], 3),
+            (["mmatrix", "--t", "1e308", "--k", "0.7", "--n", "16"], 3),
         ],
         ids=["det_k_nan", "spectrum_k_inf", "out_missing_dir", "propagator_1e308",
-             "tgen_amp_nan", "tgen_amp_inf"],
+             "tgen_amp_nan", "tgen_amp_inf", "propagator_t_minus_inf", "tgen_amp_minus_inf",
+             "tgen_k_1e308", "oracle_t_1e308", "sweep_k_1e308", "mmatrix_t_1e308"],
     )
     def test_exit_code_without_traceback(self, capsys, tmp_path, argv, code):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
         assert cli.run(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("numerical error:" if code == 3 else "error:")
         assert "Traceback" not in captured.err
 
     def test_unwritable_out_names_the_path(self, capsys, tmp_path):
@@ -421,3 +477,52 @@ def test_det_product_loads_no_scipy():
     )
     assert proc.stderr.split() == ["0", "False"]
     assert json.loads(proc.stdout)["query"]["command"] == "det"
+
+
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, -1e-308,
+                             0.0, -1.0, -1e-3, 0.7])
+
+
+def _argv(command, t, k, y, amp, n, order, steps, flag):
+    """One small query of each subcommand: n <= 16, order <= 10, steps <= 2
+    and 8 slices, so that no draw allocates much."""
+    tk = ["--t", repr(t), "--k", repr(k)]
+    if command == "propagator":
+        return ["propagator", *tk, "--y1", repr(y), "--y2", repr(-y)] + (["--y3", repr(y)] if flag else [])
+    if command == "spectrum":
+        return ["spectrum", *tk, "--n", str(n), "--count", "2"]
+    if command == "det":
+        return ["det", *tk, "--method", "dense" if flag else "product", "--order", str(order)]
+    if command == "mmatrix":
+        return ["mmatrix", *tk] + (["--n", str(n)] if flag else [])
+    if command == "tgen":
+        return ["tgen", *tk, "--y1", repr(y), "--n", str(n), "--bump", "0", repr(amp), "0.0", "0.1"]
+    if command == "oracle":
+        return ["oracle", *tk, "--y1", repr(y), "--y2", repr(amp), "--slices", "8"]
+    return ["sweep", "--t-min", repr(t), "--t-max", repr(amp), "--t-steps", str(steps),
+            "--k-min", repr(k), "--k-max", repr(y), "--k-steps", str(3 - steps), "--y1", repr(y)]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["propagator", "spectrum", "det", "mmatrix", "tgen",
+                                     "oracle", "sweep"])
+@settings(max_examples=150)
+@given(t=_EXTREMES, k=_EXTREMES, y=_EXTREMES, amp=_EXTREMES, n=st.integers(2, 16),
+       order=st.integers(1, 10), steps=st.integers(1, 2), flag=st.booleans())
+def test_extreme_values_end_in_a_documented_exit(command, t, k, y, amp, n, order, steps, flag):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(_argv(command, t, k, y, amp, n, order, steps, flag))
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+    elif command == "sweep":
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "t,k,re,im" and len(lines) == 3
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import magprop as mp
 from magprop.errors import IllConditionedError, SingularOperatorError, ValidationError
-from magprop.grid import OperatorMatrix, _a_apply, _b_apply, _block_groups, _bstar_apply
+from magprop.grid import (
+    OperatorMatrix,
+    _a_apply,
+    _a_inverse_bands,
+    _b_apply,
+    _block_groups,
+    _bstar_apply,
+)
 from magprop.magnetic import _id_plus_k_inverse
 
 
@@ -198,6 +205,15 @@ def test_kernel_applies_match_the_dense_matrices(n, shape):
         got = apply(g, v)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_a_inverse_bands_invert_the_application_matrix(n):
+    g = mp.make_grid(0.7, n)
+    diag, off = _a_inverse_bands(g)
+    t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    got = t_mat @ mp.discretize("A", g).application
+    assert np.abs(got - g.weight**2 * np.eye(n)).max() <= 1e-12 * g.weight**2
 
 
 def test_block_zero_entries_dropped():

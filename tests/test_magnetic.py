@@ -263,6 +263,24 @@ class TestPreimages:
         target[0] = 1.0
         assert np.abs(fwd.values - target).max() < 1e-4
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+    def test_matches_the_dense_solve_of_n(self, domain_tk, n):
+        # the literal discretized N, through its tridiagonal resolvent, and
+        # not an approximation of the ODE it discretizes
+        t, k = domain_tk
+        g = mp.make_grid(t, n)
+        big_n = mp.build_cp_operators(g, k).N
+        dense = big_n.dense()
+        for which, comp in (("eta1", 0), ("eta3", 2)):
+            eta = np.zeros((4, n), dtype=complex)
+            eta[comp] = 1.0
+            want = mp.GridFunction.from_flat(g, np.linalg.solve(dense, eta.reshape(-1)), 4)
+            got = mp.solve_preimage(g, k, which)
+            assert _rel_err(got.values, want.values) <= 1e-10, which
+            residual = np.abs(big_n.apply(got).values - eta).max()
+            dense_residual = np.abs(big_n.apply(want).values - eta).max()
+            assert residual <= 10 * dense_residual + 1e-14, which
+
     def test_fourth_component_duplicates_third(self):
         g = mp.make_grid(1.0, 128)
         pre = mp.solve_preimage(g, 0.8, "eta3")
@@ -272,8 +290,6 @@ class TestPreimages:
         g = mp.make_grid(1.0, 128)
         with pytest.raises(ValidationError):
             mp.solve_preimage(g, 1.0, "eta2")
-        with pytest.raises(ValidationError):
-            mp.solve_preimage(mp.make_grid(1.0, 4), 1.0, "eta1")
 
     def test_closed_preimage_k_zero(self):
         g = mp.make_grid(1.0, 64)
@@ -299,6 +315,10 @@ class TestMMatrix:
         assert rel < 1e-7
         assert abs(res.numerical[0, 1]) < 1e-8
         assert abs(res.numerical[1, 0]) < 1e-8
+
+    def test_eta1_preimage_has_no_x2_component(self):
+        # eta1's preimage is (a, a, 0, 0) exactly
+        assert mp.m_matrix(1.0, 1.0, mp.make_grid(1.0, 512)).numerical[1, 0] == 0
 
     def test_grid_span_mismatch(self):
         with pytest.raises(ValidationError):

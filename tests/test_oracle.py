@@ -8,7 +8,7 @@ import pytest
 
 import magprop as mp
 from magprop import oracle
-from magprop.errors import AdjudicationError, ConvergenceError, ValidationError
+from magprop.errors import MEMORY_BUDGET, AdjudicationError, ConvergenceError, ValidationError
 from magprop.oracle import _richardson
 
 
@@ -354,7 +354,7 @@ class TestTimeSlicing:
         finally:
             tracemalloc.stop()
         assert peak < 1e5
-        assert oracle._SLICE_BYTES * 4096 < oracle._SLICED_MEMORY_BUDGET
+        assert oracle._SLICE_BYTES * 4096 < MEMORY_BUDGET
 
     def test_4096_slices_peak_at_the_per_slice_bound(self):
         # one sweep holds rho and its log1p at every level, and nothing else

@@ -4,7 +4,8 @@ Subcommands: propagator, spectrum, det, mmatrix, tgen, oracle, sweep.
 Output is JSON (CSV for sweep) on stdout or to --out; given identical
 arguments the bytes emitted are identical. Exit codes: 0 success, 1 usage
 error or an --out file that cannot be written (``error: cannot write
-<path>: <reason>`` on stderr), 2 invalid query (bad domain, caustic time),
+<path>: <reason>`` on stderr), 2 invalid query (bad domain, caustic time,
+a det --method product order below 2|kt|/pi - 1/2, too small for its tail),
 3 numerical failure (singular or ill-conditioned solve, failed
 convergence, failed adjudication, a non-finite value in the output).
 """
@@ -175,59 +176,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_propagator(args) -> None:
+def _cmd_propagator(args) -> tuple:
     q = CPQuery(t=args.t, k=args.k, y1=args.y1, y2=args.y2, y3=args.y3)
-    value = propagator(q)
-    _emit_json({
-        "query": {"command": "propagator", "t": args.t, "k": args.k,
-                  "y1": args.y1, "y2": args.y2, "y3": args.y3},
-        "result": _cnum(value),
-        "meta": _meta(n=None),
-    }, args.out)
+    return _cnum(propagator(q)), {"n": None}
 
 
-def _cmd_spectrum(args) -> None:
-    grid = make_grid(args.t, args.n)
-    res = spectrum_idlk(grid, args.k, args.count)
-    _emit_json({
-        "query": {"command": "spectrum", "t": args.t, "k": args.k,
-                  "n": args.n, "count": args.count},
-        "result": {
-            "closed_form": list(res.closed_form),
-            "eigenvalues": [_cnum(v) for v in res.eigenvalues],
-            "multiplicities": list(res.multiplicities),
-        },
-        "meta": _meta(n=args.n),
-    }, args.out)
+def _cmd_spectrum(args) -> tuple:
+    res = spectrum_idlk(make_grid(args.t, args.n), args.k, args.count)
+    eigenvalues = [_cnum(v) for v in res.eigenvalues]
+    return {"closed_form": list(res.closed_form), "eigenvalues": eigenvalues,
+            "multiplicities": list(res.multiplicities)}, {"n": args.n}
 
 
-def _cmd_det(args) -> None:
+def _cmd_det(args) -> tuple:
     value = det_idlk(args.t, args.k, args.method, args.order)
-    _emit_json({
-        "query": {"command": "det", "t": args.t, "k": args.k,
-                  "method": args.method, "order": args.order},
-        "result": _cnum(value),
-        "meta": _meta(n=args.order if args.method == "dense" else None),
-    }, args.out)
+    return _cnum(value), {"n": args.order if args.method == "dense" else None}
 
 
-def _cmd_mmatrix(args) -> None:
+def _cmd_mmatrix(args) -> tuple:
     if args.n is None:
-        closed = m_matrix(args.t, args.k)
-        result = {"closed": _cmat(closed)}
-    else:
-        pairres = m_matrix(args.t, args.k, make_grid(args.t, args.n))
-        diff = float(np.abs(pairres.closed - pairres.numerical).max())
-        result = {
-            "closed": _cmat(pairres.closed),
-            "max_abs_diff": diff,
-            "numerical": _cmat(pairres.numerical),
-        }
-    _emit_json({
-        "query": {"command": "mmatrix", "t": args.t, "k": args.k, "n": args.n},
-        "result": result,
-        "meta": _meta(n=args.n),
-    }, args.out)
+        return {"closed": _cmat(m_matrix(args.t, args.k))}, {"n": None}
+    pairres = m_matrix(args.t, args.k, make_grid(args.t, args.n))
+    return {
+        "closed": _cmat(pairres.closed),
+        "max_abs_diff": float(np.abs(pairres.closed - pairres.numerical).max()),
+        "numerical": _cmat(pairres.numerical),
+    }, {"n": args.n}
 
 
 def _parse_bumps(raw, t_end: float) -> list:
@@ -250,50 +224,34 @@ def _parse_bumps(raw, t_end: float) -> list:
     return bumps
 
 
-def _cmd_tgen(args) -> None:
+def _cmd_tgen(args) -> tuple:
     q = CPQuery(t=args.t, k=args.k, y1=args.y1, y2=args.y2, y3=args.y3)
-    bumps = _parse_bumps(args.bump, args.t)
+    # the query reports the parsed bumps in place of the raw --bump strings
+    args.bumps = _parse_bumps(vars(args).pop("bump"), args.t)
     grid = make_grid(args.t, args.n)
     vals = np.zeros((4, grid.n), dtype=complex)
-    for comp, amp, center, width in bumps:
+    for comp, amp, center, width in args.bumps:
         vals[comp] += amp * np.exp(-(((grid.nodes - center) / width) ** 2))
-    xi = GridFunction(grid, vals)
-    res = generating_functional(q, xi)
-    _emit_json({
-        "query": {"command": "tgen", "t": args.t, "k": args.k,
-                  "y1": args.y1, "y2": args.y2, "y3": args.y3,
-                  "n": args.n, "bumps": [list(b) for b in bumps]},
-        "result": _cnum(res.value),
-        "meta": _meta(n=args.n, det_NK=_cnum(res.det_NK),
-                      det_M=_cnum(res.det_M) if res.det_M is not None else None,
-                      branch=res.branch_note),
-    }, args.out)
+    res = generating_functional(q, GridFunction(grid, vals))
+    det_m = _cnum(res.det_M) if res.det_M is not None else None
+    return _cnum(res.value), dict(n=args.n, det_NK=_cnum(res.det_NK), det_M=det_m,
+                                  branch=res.branch_note)
 
 
-def _cmd_oracle(args) -> None:
+def _cmd_oracle(args) -> tuple:
     report = adjudicate(t=args.t, k=args.k, y1=args.y1, y2=args.y2,
                         slices=args.slices, eps0=args.eps0)
-    _emit_json({
-        "query": {"command": "oracle", "t": args.t, "k": args.k,
-                  "y1": args.y1, "y2": args.y2, "slices": args.slices,
-                  "eps0": args.eps0},
-        "result": {
-            "selected": report.selected.label(),
-            "slicing_value": _cnum(report.slicing_value),
-        },
-        "meta": _meta(
-            n=args.slices,
-            convergence=[[int(nsl), float(rel)] for nsl, rel in report.convergence],
-            slice_counts=[int(nsl) for nsl in report.slice_counts],
-            n_table=[[_cnum(v) for v in col] for col in report.n_table],
-            extrapolated_value=_cnum(report.extrapolated_value),
-            notes=list(report.confidence_notes),
-            pde_residuals={lab: [float(x) for x in v]
-                           for lab, v in report.pde_residuals.items()},
-            short_time_defect={lab: float(d)
-                               for lab, d in report.short_time_defect.items()},
-        ),
-    }, args.out)
+    result = {"selected": report.selected.label(), "slicing_value": _cnum(report.slicing_value)}
+    return result, dict(
+        n=args.slices,
+        convergence=[[int(nsl), float(rel)] for nsl, rel in report.convergence],
+        slice_counts=[int(nsl) for nsl in report.slice_counts],
+        n_table=[[_cnum(v) for v in col] for col in report.n_table],
+        extrapolated_value=_cnum(report.extrapolated_value),
+        notes=list(report.confidence_notes),
+        pde_residuals={lab: [float(x) for x in v] for lab, v in report.pde_residuals.items()},
+        short_time_defect={lab: float(d) for lab, d in report.short_time_defect.items()},
+    )
 
 
 # Bytes one sweep row holds until the CSV is written: its CPQuery, two
@@ -328,15 +286,24 @@ def _cmd_sweep(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-_COMMANDS = {
+# Each handler returns its result and its own meta entries; _emit_envelope
+# wraps them. sweep writes CSV and is dispatched on its own.
+_JSON_COMMANDS = {
     "propagator": _cmd_propagator,
     "spectrum": _cmd_spectrum,
     "det": _cmd_det,
     "mmatrix": _cmd_mmatrix,
     "tgen": _cmd_tgen,
     "oracle": _cmd_oracle,
-    "sweep": _cmd_sweep,
 }
+
+
+def _emit_envelope(args, result, meta: dict) -> None:
+    """The JSON envelope of every subcommand but sweep: the parsed arguments
+    minus --out as the query, the handler's result, and _meta over the
+    handler's meta entries."""
+    query = {key: value for key, value in vars(args).items() if key != "out"}
+    _emit_json({"query": query, "result": result, "meta": _meta(**meta)}, args.out)
 
 
 def run(argv: Optional[List[str]] = None) -> int:
@@ -351,7 +318,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         # A non-finite result exits 3 through allow_nan=False; numpy's own
         # RuntimeWarning on the way there would only add noise to stderr.
         with np.errstate(all="ignore"):
-            _COMMANDS[args.command](args)
+            if args.command == "sweep":
+                _cmd_sweep(args)
+            else:
+                _emit_envelope(args, *_JSON_COMMANDS[args.command](args))
     except _WriteError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -371,15 +371,22 @@ def _discrete_resolvent(grid: GridSpec, k: float, r: np.ndarray) -> np.ndarray:
 _PIN_ALIASES = {"eta1": "eta1", "eta3": "eta3", 1: "eta1", 3: "eta3"}
 
 
+def _m_inverse(grid: GridSpec, k: float, r: np.ndarray, s: np.ndarray) -> tuple:
+    """M^-1 (r, s) = (a, s + a) with a = (k^2 A - 1)^-1 (r + s), for the
+    diagonal block M = [[k^2 A, -1], [-1, 1]] of the discretized N."""
+    a = _discrete_resolvent(grid, k, r + s)
+    return a, s + a
+
+
 def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     """Solve the discretized N f = eta for the endpoint pins, in O(n).
 
     which selects the pin: "eta1" (indicator in component 0) or "eta3"
     (indicator in component 2). N = i [[M, P], [0, M]] as in
-    :func:`n_inverse_closed`, and M (a, b) = (r, s) gives
-    a = (k^2 A - 1)^-1 (r + s) and b = s + a. So eta1's preimage is
-    (a, a, 0, 0) with a = (k^2 A - 1)^-1 (-i), and eta3's has f2 = f3 = a
-    and M (f0, f1) = -P (a, a). Each resolvent is the exact solve of
+    :func:`n_inverse_closed`, with P = [[0, -2k B*], [2k B, 0]], so N x =
+    eta is one back-substitution on f = -i eta: x23 = M^-1 f23, then x01 =
+    M^-1 (f01 - P x23), where M^-1 (r, s) = (a, s + a) with a = (k^2 A -
+    1)^-1 (r + s). Each resolvent is the exact solve of
     :func:`_discrete_resolvent`, so this is the same midpoint-rule N that
     the Gauss engines and ``det --method dense`` use, solved without
     forming it.
@@ -388,13 +395,12 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     if key is None:
         raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
     _check_caustic(grid.t_end, k)
-    a = _discrete_resolvent(grid, k, np.full(grid.n, -1j))
-    if key == "eta1":
-        values = np.stack([a, a, np.zeros_like(a), np.zeros_like(a)])
-    else:
-        s = -2.0 * k * _b_apply(grid, a)
-        f0 = _discrete_resolvent(grid, k, 2.0 * k * _bstar_apply(grid, a) + s)
-        values = np.stack([f0, s + f0, a, a])
+    f = np.zeros((4, grid.n), dtype=complex)
+    f[0 if key == "eta1" else 2] = -1j
+    x2, x3 = _m_inverse(grid, k, f[2], f[3])
+    x0, x1 = _m_inverse(grid, k, f[0] + 2.0 * k * _bstar_apply(grid, x3),
+                        f[1] - 2.0 * k * _b_apply(grid, x2))
+    values = np.stack([x0, x1, x2, x3])
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"preimage solve produced non-finite values (t={grid.t_end}, k={k})")
     return GridFunction(grid, values)
@@ -428,9 +434,11 @@ def m_matrix(t: float, k: float, grid: Optional[GridSpec] = None):
     """Pinning matrix (eta_i, N^-1 eta_j): closed form i tan(kt)/k * Id_2.
 
     Without a grid, returns the closed 2x2 array. With a grid, also computes
-    the quadrature value through the preimages of the discretized N
-    (:func:`solve_preimage`) and returns an MMatrixResult(closed, numerical)
-    pair for comparison.
+    the quadrature value through the preimages of the discretized N and
+    returns an MMatrixResult(closed, numerical) pair for comparison. One
+    :func:`solve_preimage` call (eta3's, two resolvents) gives both
+    columns: N^-1 eta1 = (x2, x2, 0, 0) for eta3's preimage x, since both
+    are -i M^-1 (1, 0).
     """
     _check_caustic(t, k)
     closed = 1j * _tan_over_k(k, t) * np.eye(2, dtype=complex)
@@ -438,15 +446,10 @@ def m_matrix(t: float, k: float, grid: Optional[GridSpec] = None):
         return closed
     if not math.isclose(grid.t_end, t, rel_tol=1e-12, abs_tol=0.0):
         raise ValidationError(f"grid spans [0, {grid.t_end}) but t = {t}")
-    pre1 = solve_preimage(grid, k, "eta1")
-    pre3 = solve_preimage(grid, k, "eta3")
+    x = solve_preimage(grid, k, "eta3").values
     h = grid.weight
-    numerical = np.array(
-        [
-            [h * pre1.values[0].sum(), h * pre3.values[0].sum()],
-            [h * pre1.values[2].sum(), h * pre3.values[2].sum()],
-        ]
-    )
+    m11 = h * x[2].sum()
+    numerical = np.array([[m11, h * x[0].sum()], [0.0, m11]])
     return MMatrixResult(closed=closed, numerical=numerical)
 
 
@@ -516,38 +519,66 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     return SpectrumResult(eigenvalues=tuple(reps), closed_form=closed, multiplicities=tuple(mults))
 
 
-# B_2, B_4, ..., B_10: the Bernoulli numbers of the asymptotic series of psi_1
-_TRIGAMMA_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
+# B_2, B_4, ..., B_10: the Bernoulli numbers of the asymptotic series of zeta
+_ZETA_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
 
 
-def _trigamma(x: float) -> float:
-    """psi_1(x) for x > 0: the recurrence psi_1(x) = psi_1(x + 1) + 1/x^2 up
-    to z = x + m >= 20, then psi_1(z) ~ 1/z + 1/(2 z^2) + sum_j B_2j /
-    z^(2j+1) through B_10 (the next term is below 1e-16 relative at z = 20);
-    the recurrence terms are added smallest first."""
-    shift = max(0, math.ceil(20.0 - x))
+def _hurwitz_zeta(s: int, x: float) -> float:
+    """zeta(s, x) = sum_{m >= 0} (x + m)^-s for even s >= 2 and x > 0.
+
+    The recurrence zeta(s, x) = zeta(s, x + 1) + x^-s up to z = x + m >=
+    max(20, 3 s), then the Euler-Maclaurin series zeta(s, z) ~ z^(1-s)
+    [1/(s-1) + 1/(2z) + sum_j B_2j (s)_(2j-1) / (2j)! z^-2j] through B_10
+    ((s)_j the rising factorial); the recurrence terms are added smallest
+    first. Within 1e-13 relative of ``scipy.special.zeta`` for even s <= 200.
+    At s = 2 this is the trigamma function psi_1(x), evaluated step for step
+    as psi_1(z) ~ 1/z + 1/(2 z^2) + sum_j B_2j / z^(2j+1).
+    """
+    shift = max(0, math.ceil(max(20.0, 3.0 * s) - x))
     z = x + shift
     w = 1.0 / (z * z)
     series = 0.0
-    for b in reversed(_TRIGAMMA_BERNOULLI):
-        series = (series + b) * w
-    value = (1.0 + (0.5 / z + series)) / z
+    for j in range(len(_ZETA_BERNOULLI), 0, -1):
+        rising = math.prod(range(s, s + 2 * j - 1)) / math.factorial(2 * j)
+        series = (series + _ZETA_BERNOULLI[j - 1] * rising) * w
+    # z^(1-s) as z^-1 w^(s/2 - 1): underflows to 0 rather than overflowing
+    value = (1.0 / (s - 1) + (0.5 / z + series)) / z * w ** (s // 2 - 1)
     for n in range(shift - 1, -1, -1):
-        value += 1.0 / ((x + n) * (x + n))
+        value += (1.0 / ((x + n) * (x + n))) ** (s // 2)
     return value
+
+
+def _log_product_tail(x: float, a: float) -> float:
+    """sum_{m >= 0} log(1 - x / (a + m)^2) = -sum_p x^p zeta(2p, a) / p for
+    0 <= x <= a^2 / 4, where the terms fall by a factor 4 or more; summed
+    until a term is below 1e-17 of the sum. An x^p that overflows ends the
+    sum too: with a below 3.4e7 (any order within the memory budget) that
+    happens only after the terms have fallen below 1e-15 of the sum."""
+    xp, total, p = 1.0, 0.0, 0
+    while True:
+        p += 1
+        xp *= x
+        term = xp * _hurwitz_zeta(2 * p, a) / p
+        if not math.isfinite(term):
+            return -total
+        total += term
+        if term <= 1e-17 * total:
+            return -total
 
 
 def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     """Determinant of Id + L(Id+K)^-1; the closed target is cos^2(kt).
 
     method "product": truncated eigenvalue product prod v_m^2 over `order`
-    modes, times the analytic tail exp(-2 (kt)^2 / pi^2 * psi_1(order + 1/2))
-    (psi_1 is the trigamma function; the tail sums the remaining
-    log(1 - x/(m-1/2)^2) terms to first order, which is all that survives at
-    these magnitudes). method "dense": slogdet of the literally assembled
-    discretized operator on a grid with n = order cells. An order whose
-    working set (32 order bytes for "product", 768 order^2 for "dense") is
-    over the 1 GiB budget is refused before any allocation.
+    modes, v_m = 1 - x / (m - 1/2)^2 with x = (kt / pi)^2, times the tail
+    exp(-2 sum_p x^p zeta(2p, order + 1/2) / p): the whole series of the
+    remaining log(1 - x / (m - 1/2)^2), not its first order, with zetas from
+    :func:`_hurwitz_zeta`. The series converges for order + 1/2 > |kt| / pi;
+    an order with order + 1/2 < 2 |kt| / pi is refused, so that its ratio
+    stays at most 1/4 (about 25 terms). method "dense": slogdet of the
+    literally assembled discretized operator on a grid with n = order cells.
+    An order whose working set (32 order bytes for "product", 768 order^2
+    for "dense") is over the 1 GiB budget is refused before any allocation.
     """
     if not (np.isfinite(t) and t > 0):
         raise ValidationError(f"t must be positive and finite, got {t}")
@@ -556,16 +587,25 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if method == "product":
+        kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
+        if math.isfinite(kt2) and order + 0.5 < 2.0 * abs(k * t) / math.pi:
+            least = math.ceil(2.0 * abs(k * t) / math.pi - 0.5)
+            raise ValidationError(
+                f"order {order} is too small for the product tail at kt = {k * t!r}; "
+                f"it needs order >= {least}"
+            )
         # four float arrays of length order are alive at once
         check_memory(f"det --method product at order {order}", 32.0 * order)
+        if not math.isfinite(kt2):
+            return complex(math.nan)  # no finite value to give; the CLI exits 3
         m = np.arange(1, order + 1, dtype=float)
-        kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
         v = 1.0 - kt2 / ((m - 0.5) * math.pi) ** 2
         if np.any(v == 0.0):
             return 0.0 + 0j
-        body = np.exp(2.0 * np.sum(np.log(np.abs(v))))
-        tail = math.exp(-2.0 * kt2 / math.pi**2 * _trigamma(order + 0.5))
-        return complex(body * tail)
+        # one exponent: the body and the tail alone overflow once x / order
+        # passes about 350 (kt past about 2000 at the least admitted order)
+        log_v = np.sum(np.log(np.abs(v))) + _log_product_tail(kt2 / math.pi**2, order + 0.5)
+        return complex(np.exp(2.0 * log_v))
     if method == "dense":
         # the complex 4n x 4n matrix, its LU copy and the blocks it is built from
         check_memory(f"det --method dense at order {order}", 3 * 256.0 * order * order)

@@ -156,6 +156,15 @@ class TestDetCommand:
         assert data["result"]["re"] == pytest.approx(np.cos(1.0) ** 2, rel=1e-6)
         assert data["result"]["im"] == 0.0
 
+    @pytest.mark.parametrize("k, order, least", [("3", "1", 2), ("10", "1", 6), ("10", "2", 6),
+                                                 ("10", "4", 6), ("-10", "5", 6)])
+    def test_too_small_product_order_exits_two(self, capsys, k, order, least):
+        code = cli.run(["det", "--t", "1.0", "--k", k, "--method", "product", "--order", order])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"needs order >= {least}" in captured.err
+
     def test_dense_matches_product(self, capsys):
         code, dense, _ = run_json(
             capsys, ["det", "--t", "0.9", "--k", "1.0", "--method", "dense",
@@ -348,6 +357,35 @@ class TestSweepCommand:
         cli.run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("argv", [
+        ["propagator", "--t", "0.8", "--k", "0.6", "--y1", "0.3", "--y3", "0.5"],
+        ["spectrum", "--t", "1.0", "--k", "1.0", "--n", "64", "--count", "2"],
+        ["det", "--t", "1.0", "--k", "1.0", "--method", "dense", "--order", "8"],
+        ["mmatrix", "--t", "1.0", "--k", "1.0"],
+        ["mmatrix", "--t", "1.0", "--k", "1.0", "--n", "16"],
+        ["oracle", "--slices", "64"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+    def test_query_is_the_parsed_arguments_minus_out(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        assert cli.run(argv + ["--out", str(target)]) == 0
+        parsed = vars(cli._build_parser().parse_args(argv))
+        del parsed["out"]
+        data = json.loads(target.read_text())
+        assert data["query"] == parsed
+        assert set(data) == {"query", "result", "meta"}
+        assert data["meta"]["version"] == mp.__version__
+
+    def test_tgen_query_holds_the_parsed_bumps(self, capsys):
+        argv = ["tgen", "--t", "1", "--k", "1", "--n", "16",
+                "--bump", "0", "-1e-1", "0.5", "0.1", "--bump", "3", "2", "0.25", "0.5"]
+        code, data, _ = run_json(capsys, argv)
+        assert code == 0
+        assert data["query"] == {"command": "tgen", "t": 1.0, "k": 1.0, "y1": 0.0, "y2": 0.0,
+                                 "y3": None, "n": 16,
+                                 "bumps": [[0, -0.1, 0.5, 0.1], [3, 2.0, 0.25, 0.5]]}
 
 
 class TestOutFile:

@@ -7,16 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import magprop as mp
+import magprop.magnetic as magnetic
 from magprop.errors import CausticError, ValidationError
 from magprop.magnetic import (
     _closed_preimage,
+    _hurwitz_zeta,
     _id_plus_k_inverse,
     _k_over_sin,
     _k_over_tan,
     _n_inverse_apply,
     _resolvent_g,
     _tan_over_k,
-    _trigamma,
     kernel_value,
 )
 
@@ -281,6 +282,16 @@ class TestPreimages:
             dense_residual = np.abs(big_n.apply(want).values - eta).max()
             assert residual <= 10 * dense_residual + 1e-14, which
 
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_eta1_preimage_is_the_first_block_of_eta3s(self, domain_tk, n):
+        # both are -i M^-1 (1, 0): eta3's x23 and eta1's x01
+        t, k = domain_tk
+        g = mp.make_grid(t, n)
+        x = mp.solve_preimage(g, k, "eta3").values
+        zero = np.zeros(n, dtype=complex)
+        want = np.stack([x[2], x[2], zero, zero])
+        assert np.array_equal(mp.solve_preimage(g, k, "eta1").values, want)
+
     def test_fourth_component_duplicates_third(self):
         g = mp.make_grid(1.0, 128)
         pre = mp.solve_preimage(g, 0.8, "eta3")
@@ -319,6 +330,19 @@ class TestMMatrix:
     def test_eta1_preimage_has_no_x2_component(self):
         # eta1's preimage is (a, a, 0, 0) exactly
         assert mp.m_matrix(1.0, 1.0, mp.make_grid(1.0, 512)).numerical[1, 0] == 0
+
+    def test_one_preimage_solve(self, monkeypatch):
+        # eta3's preimage alone: one resolvent per diagonal block of N
+        calls = []
+        resolvent = magnetic._discrete_resolvent
+
+        def counted(*args):
+            calls.append(args)
+            return resolvent(*args)
+
+        monkeypatch.setattr(magnetic, "_discrete_resolvent", counted)
+        mp.m_matrix(1.0, 1.0, mp.make_grid(1.0, 256))
+        assert len(calls) == 2
 
     def test_grid_span_mismatch(self):
         with pytest.raises(ValidationError):
@@ -387,14 +411,38 @@ class TestDeterminant:
         polygamma = pytest.importorskip("scipy.special").polygamma
         for order in [*range(1, 300), 10**3, 10**4, 10**6, 10**9]:
             want = float(polygamma(1, order + 0.5))
-            assert abs(_trigamma(order + 0.5) - want) <= 4 * np.spacing(want), order
+            assert abs(_hurwitz_zeta(2, order + 0.5) - want) <= 4 * np.spacing(want), order
 
     def test_trigamma_matches_a_40_digit_value(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             for x in (0.5, 1.5, 7.5, 19.5, 20.5, 1e3 + 0.5, 1e9 + 0.5):
                 want = float(mpmath.polygamma(1, x))
-                assert abs(_trigamma(x) - want) <= 2 * np.spacing(want), x
+                assert abs(_hurwitz_zeta(2, x) - want) <= 2 * np.spacing(want), x
+
+    def test_hurwitz_zeta_matches_scipy(self):
+        zeta = pytest.importorskip("scipy.special").zeta
+        for s in range(2, 202, 2):
+            for x in (1.5, 2.5, 7.5, 24.5, 100.5, 1e3 + 0.5, 1e6 + 0.5):
+                want = float(zeta(s, x))
+                if want > 1e-290:  # far from the subnormal range
+                    assert abs(_hurwitz_zeta(s, x) - want) <= 1e-13 * want, (s, x)
+
+    @pytest.mark.parametrize("kt", [0.3, 1.3, 3.0, 10.0])
+    # 6 is the least order admitted at kt = 10
+    @pytest.mark.parametrize("order", [1, 2, 4, 6, 10, 37, 100, 10000])
+    def test_product_tail_is_exact_at_every_admitted_order(self, kt, order):
+        if order + 0.5 < 2 * kt / np.pi:
+            with pytest.raises(ValidationError, match=r"needs order >= \d+"):
+                mp.det_idlk(1.0, kt, "product", order)
+            return
+        assert abs(mp.det_idlk(1.0, kt, "product", order) - np.cos(kt) ** 2) <= 1e-13
+
+    def test_product_stays_finite_at_large_kt(self):
+        # the body and the tail alone would overflow here
+        kt = 5000.0
+        order = math.ceil(2 * kt / np.pi - 0.5)
+        assert abs(mp.det_idlk(1.0, kt, "product", order) - np.cos(kt) ** 2) <= 1e-10
 
     def test_k_zero(self):
         assert mp.det_idlk(1.0, 0.0, "product", 100) == 1.0

@@ -89,15 +89,13 @@ class PinnedGaussSpec:
     K, L may be None (zero operator). g is an optional shift (same grid and
     component count as the argument). pins is a sequence of (eta, y) with eta
     a GridFunction and y a real pinning value; pins must be pairwise
-    orthogonal under the bilinear pairing and non-zero. branch_anchor is the
-    small reference time recorded in branch notes (defaults to t/1000).
+    orthogonal under the bilinear pairing and non-zero.
     """
 
     K: object = None
     L: object = None
     g: Optional[GridFunction] = None
     pins: Sequence = ()
-    branch_anchor: Optional[float] = None
 
 
 def _as_value(x) -> complex:
@@ -130,10 +128,6 @@ def _application(op, grid: GridSpec, d: int) -> Optional[np.ndarray]:
     """Dense (d n) x (d n) application matrix for op, or None when zero."""
     blocks = _blocks(op, grid, d)
     return blocks.superblock(range(d), range(d)) if blocks.blocks else None
-
-
-def _identity(grid: GridSpec, d: int) -> BlockOperator:
-    return BlockOperator(grid, {(i, i): 1.0 for i in range(d)})
 
 
 def _group_spectrum(a: BlockOperator, b: BlockOperator, groups: list) -> np.ndarray:
@@ -201,10 +195,10 @@ def _pair_flat(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> complex:
 def tt_gauss_kernel(K, f: GridFunction) -> TTValue:
     """Transform of a Gauss kernel: det(Id+K)^(-1/2) exp(-1/2 (f,(Id+K)^-1 f)).
 
-    K must be symmetric under the pairing and Id+K invertible. The
-    determinant is the product over eigenvalues of Id+K, each taken with the
-    principal inverse square root (equivalent to tracking from K=0 for the
-    trace-class perturbations this is used with).
+    K must be symmetric under the pairing, and Id+K invertible: a factor
+    |1 + mu| <= 1e-12 of det(Id+K) raises SingularOperatorError. This is the
+    L-only case of :func:`tt_pinned_gauss`, which evaluates it (principal
+    inverse square root per eigenvalue, the solve with its residual check).
     """
     grid, d = f.grid, f.d
     kop = _blocks(K, grid, d)
@@ -213,20 +207,10 @@ def tt_gauss_kernel(K, f: GridFunction) -> TTValue:
         val = complex(np.exp(-0.5 * pair(f, f)))
         return TTValue(val, det_NK=1.0 + 0j, branch_note=note)
     _check_symmetric(kop.superblock(range(d), range(d)), "Gauss-kernel operator")
-    groups = _block_groups(d, kop)
-    ident = _identity(grid, d)
-    lam = _group_spectrum(ident, kop, groups)
-    factors = 1.0 + lam
-    if np.abs(factors).min() <= 1e-14 * (1.0 + np.abs(lam).max()):
-        raise SingularOperatorError("Id+K is singular at this grid")
-    det = complex(np.prod(factors))
-    pref = np.exp(_half_log_product(factors))
     try:
-        x = _group_solve(ident + kop, groups, f.flat()[:, None])[:, 0]
-    except np.linalg.LinAlgError as exc:
+        return tt_pinned_gauss(PinnedGaussSpec(L=K), f)
+    except CausticError as exc:
         raise SingularOperatorError("Id+K is singular at this grid") from exc
-    val = complex(pref * np.exp(-0.5 * _pair_flat(grid, f.flat(), x)))
-    return TTValue(val, det_NK=det, branch_note=note)
 
 
 def mc_gauss_expectation(K, samples: int, seed: int):
@@ -341,12 +325,11 @@ def tt_pinned_gauss(spec: PinnedGaussSpec, f: GridFunction) -> TTValue:
 
     kop = _blocks(spec.K, grid, d)
     lop = _blocks(spec.L, grid, d)
-    ik = _identity(grid, d) + kop
+    ik = BlockOperator(grid, {(i, i): 1.0 for i in range(d)}) + kop
     nmat = ik + lop
     groups = _block_groups(d, kop, lop)
 
-    anchor = spec.branch_anchor if spec.branch_anchor is not None else grid.t_end / 1000.0
-    note = f"per-eigenvalue principal square roots; continuity anchor t0={anchor:.6g}"
+    note = f"per-eigenvalue principal square roots; continuity anchor t0={grid.t_end / 1000.0:.6g}"
 
     if not lop.blocks:
         det_nk = 1.0 + 0j

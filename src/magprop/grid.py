@@ -47,6 +47,14 @@ RCOND_MIN = 1e-13
 _OPERATOR_NAMES = ("indicator", "B", "Bstar", "A")
 
 
+def _is_integer(x) -> bool:
+    """int(x) == x, and False where int() refuses x (NaN, inf, non-numbers)."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform midpoint grid with n cells on [0, t_end)."""
@@ -57,7 +65,7 @@ class GridSpec:
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
             raise ValidationError(f"t_end must be positive and finite, got {self.t_end}")
-        if int(self.n) != self.n or self.n < 2:
+        if not _is_integer(self.n) or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 

@@ -35,6 +35,7 @@ from .grid import (
     _b_apply,
     _bstar_apply,
     _column,
+    _is_integer,
     _prefix_sum,
     block_assemble,
     block_identity,
@@ -194,8 +195,12 @@ def build_cp_operators(grid: GridSpec, k: float) -> CPOperators:
 
     K is the constant multiplication-type block matrix of the kinetic part;
     L carries the magnetic/potential couplings through A, B, B*. Component
-    order is (x1-type, p1-type, x2-type, p2-type).
+    order is (x1-type, p1-type, x2-type, p2-type). An n whose working set
+    (about 112 n^2 bytes) is over the 1 GiB budget is refused before any
+    allocation.
     """
+    # tracemalloc peaks at 112.0 to 112.1 n^2 bytes (n = 256 to 1024)
+    check_memory(f"build_cp_operators at n = {grid.n}", 112.0 * grid.n * grid.n)
     meta = {"t": grid.t_end, "k": k}
     kmat = block_assemble(
         grid,
@@ -318,18 +323,23 @@ def n_inverse_closed(grid: GridSpec, k: float) -> BlockOperator:
     G, A, B and B* are never built as matrices. Their O(n) applies (the
     chain :func:`generating_functional` runs on one vector) act on the
     columns of the identity: G I, then A, B and B* on that, then G on the
-    four inner products. That costs O(n^2) time and memory for the 12 dense
-    blocks (6 at k = 0), against O(n^3) for dense matrix products.
+    four inner products. That costs O(n^2) time and memory for the 12
+    blocks (6 at k = 0), against O(n^3) for dense matrix products. Equal
+    blocks share one array: the six -i G blocks are one array, and so are
+    (1, 1) and (3, 3), so 6 distinct n x n arrays are kept (1 at k = 0). An
+    n whose working set (about 224 n^2 bytes) is over the 1 GiB budget is
+    refused before any allocation.
     """
     _check_caustic(grid.t_end, k)
+    # tracemalloc peaks at 208 to 210 n^2 bytes (n = 256 to 1024), while the
+    # last coupling block is being resolved
+    check_memory(f"n_inverse_closed at n = {grid.n}", 224.0 * grid.n * grid.n)
     # column-major, so that the prefix sums along axis 0 run over contiguous
     # memory (about three times faster at n = 1024)
     g = _resolvent_g(grid, k, np.eye(grid.n, dtype=complex, order="F"))
-    blocks = {key: -1j * g for key in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (3, 2))}
+    blocks = dict.fromkeys(((0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (3, 2)), -1j * g)
     if k != 0:
-        ag = -1j * (k * k) * _a_apply(grid, g)
-        blocks[(1, 1)] = ag
-        blocks[(3, 3)] = ag.copy(order="K")
+        blocks[(1, 1)] = blocks[(3, 3)] = -1j * (k * k) * _a_apply(grid, g)
         for key, x in _couplings(grid, k, g).items():
             blocks[key] = -1j * _resolvent_g(grid, k, x)
     return BlockOperator(grid, blocks, meta={"t": grid.t_end, "k": k, "label": "N^-1 closed"})
@@ -368,7 +378,9 @@ def _discrete_resolvent(grid: GridSpec, k: float, r: np.ndarray) -> np.ndarray:
     return x
 
 
-_PIN_ALIASES = {"eta1": "eta1", "eta3": "eta3", 1: "eta1", 3: "eta3"}
+def _check_pin(which) -> None:
+    if not (isinstance(which, str) and which in ("eta1", "eta3")):
+        raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
 
 
 def _m_inverse(grid: GridSpec, k: float, r: np.ndarray, s: np.ndarray) -> tuple:
@@ -391,12 +403,10 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     the Gauss engines and ``det --method dense`` use, solved without
     forming it.
     """
-    key = _PIN_ALIASES.get(which)
-    if key is None:
-        raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
+    _check_pin(which)
     _check_caustic(grid.t_end, k)
     f = np.zeros((4, grid.n), dtype=complex)
-    f[0 if key == "eta1" else 2] = -1j
+    f[0 if which == "eta1" else 2] = -1j
     x2, x3 = _m_inverse(grid, k, f[2], f[3])
     x0, x1 = _m_inverse(grid, k, f[0] + 2.0 * k * _bstar_apply(grid, x3),
                         f[1] - 2.0 * k * _b_apply(grid, x2))
@@ -409,16 +419,14 @@ def solve_preimage(grid: GridSpec, k: float, which) -> GridFunction:
 def _closed_preimage(grid: GridSpec, k: float, which) -> GridFunction:
     """Analytic preimages N^-1 eta (trig closed forms), for cross-checks and
     the generating functional."""
-    key = _PIN_ALIASES.get(which)
-    if key is None:
-        raise ValidationError(f"which must be 'eta1' or 'eta3', got {which!r}")
+    _check_pin(which)
     _check_caustic(grid.t_end, k)
     s = grid.nodes
     t = grid.t_end
     ckt = math.cos(k * t)
     cks = np.cos(k * s)
     zero = np.zeros_like(s)
-    if key == "eta1":
+    if which == "eta1":
         f = 1j * cks / ckt
         return GridFunction(grid, np.stack([f, f.copy(), zero, zero.copy()]).astype(complex))
     h1 = (2j * np.sin(k * s) + 2j * k * (s - t) * cks) / ckt
@@ -481,8 +489,11 @@ def spectrum_idlk(grid: GridSpec, k: float, count: int) -> SpectrumResult:
     """
     if not np.isfinite(k):
         raise ValidationError(f"k must be finite, got {k}")
+    if not _is_integer(count):
+        raise ValidationError(f"count must be an integer, got {count!r}")
     if count < 1 or count > grid.n:
         raise ValidationError(f"count must be in [1, {grid.n}], got {count}")
+    count = int(count)
     # A's kernel and application as complex n x n arrays, and eigvalsh's real copy
     check_memory(f"spectrum at n = {grid.n}", 40.0 * grid.n * grid.n)
     a_app = discretize("A", grid).application
@@ -584,8 +595,11 @@ def det_idlk(t: float, k: float, method: str, order: int) -> complex:
         raise ValidationError(f"t must be positive and finite, got {t}")
     if not np.isfinite(k):
         raise ValidationError(f"k must be finite, got {k}")
+    if not _is_integer(order):
+        raise ValidationError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
+    order = int(order)
     if method == "product":
         kt2 = (k * t) * (k * t)  # inf rather than OverflowError at huge kt
         if math.isfinite(kt2) and order + 0.5 < 2.0 * abs(k * t) / math.pi:

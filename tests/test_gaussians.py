@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import magprop as mp
+import magprop.gaussians as gaussians
 from magprop.errors import (
     CausticError,
     DegeneratePinningError,
@@ -55,6 +58,14 @@ class TestGaussKernel:
         k = OperatorMatrix(g, -np.eye(16), kind="mult")
         with pytest.raises(SingularOperatorError):
             mp.tt_gauss_kernel(k, mp.GridFunction.zero(g))
+
+    def test_failed_solve_raises(self, unit_grid, monkeypatch):
+        # the engine's residual check covers the Gauss kernel too
+        monkeypatch.setattr(gaussians, "_group_solve",
+                            lambda nmat, groups, rhs: np.zeros(rhs.shape, dtype=complex))
+        f = mp.GridFunction.sample(unit_grid, np.ones_like)
+        with pytest.raises(SingularOperatorError):
+            mp.tt_gauss_kernel(rank_one_quarter(unit_grid), f)
 
     @given(st.integers(0, 2**31 - 1))
     def test_diagonal_closed_form(self, seed):
@@ -246,14 +257,9 @@ class TestPinnedGauss:
     def test_branch_note_mentions_anchor(self, unit_grid):
         eta = mp.GridFunction.sample(unit_grid, np.ones_like)
         v = mp.tt_pinned_gauss(
-            mp.PinnedGaussSpec(pins=((eta, 0.0),), branch_anchor=0.005),
-            mp.GridFunction.zero(unit_grid),
-        )
-        assert "0.005" in v.branch_note
-        v2 = mp.tt_pinned_gauss(
             mp.PinnedGaussSpec(pins=((eta, 0.0),)), mp.GridFunction.zero(unit_grid)
         )
-        assert "0.001" in v2.branch_note  # default t/1000 on the unit grid
+        assert "0.001" in v.branch_note  # t/1000 on the unit grid
 
     def test_engine_continuity_along_time_path(self):
         # no branch jumps: relative step-to-step change stays far below 0.5
@@ -337,6 +343,13 @@ def random_blocks(rng, grid, keys, scale=0.1):
         else:
             blocks[key] = random_block(rng, grid.n, scale)
     return BlockOperator(grid, blocks)
+
+
+def symmetric_blocks(rng, grid, keys):
+    """random_blocks at keys plus its transpose under the pairing."""
+    half = random_blocks(rng, grid, keys)
+    return half + BlockOperator(grid, {(j, i): blk if np.isscalar(blk) else blk.T
+                                       for (i, j), blk in half.blocks.items()})
 
 
 FULL = [(i, j) for i in range(4) for j in range(4)]
@@ -423,9 +436,7 @@ class TestBlockGroupRoute:
         # symmetric K with groups {0, 1}, {2} (no block) and {3}
         g = mp.make_grid(1.0, n)
         rng = np.random.default_rng(n)
-        half = random_blocks(rng, g, [(0, 0), (0, 1), (3, 3)])
-        k_op = half + BlockOperator(g, {(j, i): blk if np.isscalar(blk) else blk.T
-                                        for (i, j), blk in half.blocks.items()})
+        k_op = symmetric_blocks(rng, g, [(0, 0), (0, 1), (3, 3)])
         assert _block_groups(4, k_op) == [[0, 1], [2], [3]]
         f = mp.GridFunction(g, rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
         app = k_op.dense()
@@ -435,6 +446,28 @@ class TestBlockGroupRoute:
         got = mp.tt_gauss_kernel(k_op, f)
         assert abs(got.value - want) <= 1e-12 * abs(want)
         assert abs(got.det_NK - np.prod(1 + lam)) <= 1e-12 * abs(np.prod(1 + lam))
+
+    @pytest.mark.parametrize("n", [8, 24, 64])
+    def test_gauss_kernel_is_the_l_only_engine(self, n):
+        g = mp.make_grid(1.0, n)
+        rng = np.random.default_rng(n)
+        one = random_block(rng, n, 0.3)
+        for k_op, d in ((OperatorMatrix(g, (one + one.T) / g.weight), 1),
+                        (symmetric_blocks(rng, g, [(0, 0), (0, 1), (3, 3)]), 4)):
+            f = mp.GridFunction(g, rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
+            assert mp.tt_gauss_kernel(k_op, f) == mp.tt_pinned_gauss(mp.PinnedGaussSpec(L=k_op), f)
+
+    def test_spectrum_and_solve_only_in_the_pinned_engine(self):
+        # one determinant and solve route: a second caller of either helper
+        # would be a second copy of the engine's algebra
+        tree = ast.parse(Path(gaussians.__file__).read_text())
+        refs = {}
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", "<module level>")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id in ("_group_spectrum", "_group_solve"):
+                    refs.setdefault(node.id, set()).add(owner)
+        assert refs == {"_group_spectrum": {"tt_pinned_gauss"}, "_group_solve": {"tt_pinned_gauss"}}
 
 
 class TestUFuncProbe:

@@ -25,8 +25,9 @@ def test_grid_spec_validation():
         mp.make_grid(float("nan"), 16)
     with pytest.raises(ValidationError):
         mp.make_grid(1.0, 1)
-    with pytest.raises(ValidationError):
-        mp.GridSpec(1.0, 2.5)
+    for n in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            mp.GridSpec(1.0, n)
 
 
 def test_midpoint_nodes():

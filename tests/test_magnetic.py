@@ -302,6 +302,13 @@ class TestPreimages:
         with pytest.raises(ValidationError):
             mp.solve_preimage(g, 1.0, "eta2")
 
+    @pytest.mark.parametrize("which", [["eta1"], 1, 3])
+    def test_which_is_a_pin_name(self, which):
+        g = mp.make_grid(1.0, 16)
+        for solve in (mp.solve_preimage, _closed_preimage):
+            with pytest.raises(ValidationError, match="which must be 'eta1' or 'eta3'"):
+                solve(g, 1.0, which)
+
     def test_closed_preimage_k_zero(self):
         g = mp.make_grid(1.0, 64)
         f = _closed_preimage(g, 0.0, "eta1")
@@ -387,6 +394,12 @@ class TestSpectrum:
             mp.spectrum_idlk(g, 1.0, 0)
         with pytest.raises(ValidationError):
             mp.spectrum_idlk(g, 1.0, 17)
+        assert mp.spectrum_idlk(g, 1.0, 2.0) == mp.spectrum_idlk(g, 1.0, 2)
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf])
+    def test_count_is_an_integer(self, count):
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            mp.spectrum_idlk(mp.make_grid(1.0, 16), 1.0, count)
 
 
 class TestDeterminant:
@@ -456,6 +469,13 @@ class TestDeterminant:
         with pytest.raises(ValidationError):
             mp.det_idlk(-1.0, 1.0, "product", 100)
 
+    @pytest.mark.parametrize("order", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("method", ["product", "dense"])
+    def test_order_is_an_integer(self, method, order):
+        # order 2.5 once gave 0.28811 for cos^2(1) = 0.29193
+        with pytest.raises(ValidationError, match="order must be an integer"):
+            mp.det_idlk(1.0, 1.0, method, order)
+
 
 class TestMemoryBudget:
     # each size's unguarded allocation would be over 1 TB, so these fail at
@@ -475,6 +495,38 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1e5
+
+
+class TestBuilderMemory:
+    """n_inverse_closed and build_cp_operators check their working sets."""
+
+    @pytest.mark.parametrize("build, what", [
+        (mp.n_inverse_closed, "n_inverse_closed at n = 512"),
+        (mp.build_cp_operators, "build_cp_operators at n = 512"),
+    ], ids=["n_inverse_closed", "build_cp_operators"])
+    def test_over_budget_fails_before_allocating(self, monkeypatch, build, what):
+        monkeypatch.setattr("magprop.errors.MEMORY_BUDGET", 4 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"{what} .* over the 4 MiB"):
+                build(mp.make_grid(1.0, 512), 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_closed_inverse_peak_within_its_estimate(self):
+        n = 256
+        g = mp.make_grid(1.0, n)
+        tracemalloc.start()
+        try:
+            ninv = mp.n_inverse_closed(g, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 224 * n * n
+        # the six -i G blocks are one array, and so are (1, 1) and (3, 3)
+        assert len({id(blk) for blk in ninv.blocks.values()}) == 6
 
 
 class TestGeneratingFunctional:
